@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "common/kv.hpp"
@@ -214,8 +217,9 @@ TEST(Checkpoint, SaveLoadRoundTrip) {
 
 TEST(Checkpoint, EveryPayloadBitFlipIsDetected) {
   auto bytes = resilience::serialize(small_checkpoint());
-  // Flip one byte in every position of the payload (past the 30-byte header):
-  // the FNV-1a checksum must catch each one.
+  // Flip one byte in every 7th position of the payload (past the 30-byte
+  // header): the XXH64 checksum, or a count check that fires before it, must
+  // catch each one.
   for (std::size_t i = 30; i < bytes.size(); i += 7) {
     auto corrupted = bytes;
     corrupted[i] ^= 0x40;
@@ -299,6 +303,183 @@ TEST(Checkpoint, LoadNamesThePathOnFailure) {
   } catch (const resilience::CorruptInput& e) {
     EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
   }
+}
+
+TEST(Checksum, Xxh64MatchesPublishedVectors) {
+  EXPECT_EQ(resilience::xxh64("", 0), 0xef46db3751d8e999ull);
+  EXPECT_EQ(resilience::xxh64("a", 1), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(resilience::xxh64("abc", 3), 0x44bc2cf5ad770999ull);
+  // 39 bytes: one full 32-byte stripe plus a 4-byte and a 3-byte tail.
+  const std::string spam = "Nobody inspects the spammish repetition";
+  EXPECT_EQ(resilience::xxh64(spam.data(), spam.size()), 0xfbcea83c8a378bf1ull);
+  // 43 bytes: one stripe, an 8-byte tail word and three single bytes.
+  const std::string fox = "The quick brown fox jumps over the lazy dog";
+  EXPECT_EQ(resilience::xxh64(fox.data(), fox.size()), 0x0b242d361fda71bcull);
+}
+
+TEST(Checksum, StreamingDigestMatchesOneShotAtEverySplit) {
+  // Several 32-byte stripes; the splits leave every partial-stripe length
+  // buffered between two update() calls.
+  std::vector<std::uint8_t> data(203);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  const std::uint64_t want = resilience::xxh64(data.data(), data.size());
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    resilience::Xxh64 h;
+    h.update(data.data(), split);
+    h.update(data.data() + split, data.size() - split);
+    EXPECT_EQ(h.digest(), want) << "split at " << split;
+  }
+  for (std::size_t chunk = 1; chunk <= 40; ++chunk) {
+    resilience::Xxh64 h;
+    for (std::size_t off = 0; off < data.size(); off += chunk)
+      h.update(data.data() + off, std::min(chunk, data.size() - off));
+    EXPECT_EQ(h.digest(), want) << "chunks of " << chunk;
+  }
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path, const std::vector<std::uint8_t>& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(Checkpoint, SaveWritesExactlyTheSerializedImage) {
+  const auto ck = small_checkpoint();
+  const auto path = tmp_path("ltswave_ckpt_image.ckpt");
+  resilience::save(ck, path);
+  EXPECT_EQ(read_file(path), resilience::serialize(ck));
+}
+
+TEST(Checkpoint, Version2FilesAreRefused) {
+  // A v2 file has the same layout under an FNV-1a checksum; the version word
+  // alone must refuse it, before any checksum is computed.
+  auto v2 = resilience::serialize(small_checkpoint());
+  const std::uint32_t version = 2;
+  std::memcpy(v2.data() + 8, &version, sizeof version);
+  const char* needle = "unsupported checkpoint version 2";
+  try {
+    (void)resilience::deserialize(v2.data(), v2.size());
+    FAIL() << "expected CorruptInput";
+  } catch (const resilience::CorruptInput& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+  const auto path = tmp_path("ltswave_ckpt_v2.ckpt");
+  write_file(path, v2);
+  try {
+    (void)resilience::load(path);
+    FAIL() << "expected CorruptInput";
+  } catch (const resilience::CorruptInput& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+}
+
+TEST(Checkpoint, LoadOfEveryTruncationThrowsOnlyCorruptInput) {
+  const auto bytes = resilience::serialize(small_checkpoint());
+  const auto path = tmp_path("ltswave_ckpt_truncated.ckpt");
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    write_file(path, {bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(len)});
+    EXPECT_THROW((void)resilience::load(path), resilience::CorruptInput) << "length " << len;
+  }
+}
+
+/// The file offset of every u64 count in small_checkpoint()'s image, walked
+/// field by field in format order.
+std::vector<std::pair<std::string, std::size_t>> small_checkpoint_counts() {
+  const auto ck = small_checkpoint();
+  std::vector<std::pair<std::string, std::size_t>> counts;
+  std::size_t off = 30;
+  auto array = [&](const std::string& name, std::size_t n, std::size_t item_bytes) {
+    counts.emplace_back(name, off);
+    off += 8 + n * item_bytes;
+  };
+  auto list = [&](const std::string& name) {
+    counts.emplace_back(name, off);
+    off += 8;
+  };
+  const auto& s = ck.state;
+  array("executor", ck.executor.size(), 1);
+  array("config", ck.config.size(), 1);
+  array("u", s.u.size(), sizeof(real_t));
+  array("v_half", s.v_half.size(), sizeof(real_t));
+  off += 2 * sizeof(real_t) + 3 * 8; // time, dt, cycles, element_applies, blocks_applied
+  array("applies_per_level", s.applies_per_level.size(), 8);
+  list("frozen_forces");
+  for (std::size_t k = 0; k < s.frozen_forces.size(); ++k)
+    array("frozen_forces[" + std::to_string(k) + "]", s.frozen_forces[k].size(), sizeof(real_t));
+  array("cumulative", s.cumulative.size(), sizeof(real_t));
+  array("integrator", s.integrator.size(), 1);
+  array("integrator_aux", s.integrator_aux.size(), sizeof(real_t));
+  list("traces");
+  for (std::size_t i = 0; i < ck.traces.size(); ++i) {
+    const std::string t = "traces[" + std::to_string(i) + "]";
+    array(t + ".times", ck.traces[i].times.size(), sizeof(real_t));
+    array(t + ".values", ck.traces[i].values.size(), sizeof(real_t));
+  }
+  EXPECT_EQ(off, resilience::serialize(ck).size()) << "the walk must cover the whole image";
+  return counts;
+}
+
+TEST(Checkpoint, HostileCountsThrowCorruptInput) {
+  // Every count is checked against the bytes left before anything is
+  // allocated. The images are re-signed, so the count check alone (not the
+  // checksum) must refuse them — as CorruptInput, never std::length_error or
+  // std::bad_alloc.
+  const auto bytes = resilience::serialize(small_checkpoint());
+  const auto path = tmp_path("ltswave_ckpt_hostile.ckpt");
+  for (const auto& [field, off] : small_checkpoint_counts()) {
+    for (const std::uint64_t hostile : {std::uint64_t{1} << 61, ~std::uint64_t{0}}) {
+      auto b = bytes;
+      std::memcpy(b.data() + off, &hostile, sizeof hostile);
+      const std::uint64_t checksum = resilience::xxh64(b.data() + 30, b.size() - 30);
+      std::memcpy(b.data() + 22, &checksum, sizeof checksum);
+      try {
+        (void)resilience::deserialize(b.data(), b.size());
+        ADD_FAILURE() << field << ": expected CorruptInput";
+      } catch (const resilience::CorruptInput& e) {
+        EXPECT_NE(std::string(e.what()).find("count"), std::string::npos)
+            << field << ": " << e.what();
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << field << ": escaped as " << e.what();
+      }
+      write_file(path, b);
+      try {
+        (void)resilience::load(path);
+        ADD_FAILURE() << field << ": expected CorruptInput from load";
+      } catch (const resilience::CorruptInput& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(path), std::string::npos) << field << ": " << msg;
+        EXPECT_NE(msg.find("count"), std::string::npos) << field << ": " << msg;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << field << ": load escaped as " << e.what();
+      }
+    }
+  }
+}
+
+TEST(Checkpoint, FailedSaveIsTypedAndLeavesNoTempFile) {
+  const auto ck = small_checkpoint();
+  // Saving onto an existing directory writes the temp file, then fails the
+  // rename: the error is a resilience::Error naming the path, and the temp
+  // file is gone.
+  const auto dir = tmp_path("ltswave_ckpt_onto_a_dir");
+  std::filesystem::create_directories(dir);
+  try {
+    resilience::save(ck, dir);
+    FAIL() << "expected resilience::Error";
+  } catch (const resilience::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(dir), std::string::npos) << e.what();
+  }
+  EXPECT_TRUE(std::filesystem::is_directory(dir));
+  EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
+  // A missing parent directory fails at open.
+  const auto orphan = tmp_path("ltswave_no_such_dir/ck.ckpt");
+  EXPECT_THROW(resilience::save(ck, orphan), resilience::Error);
+  EXPECT_FALSE(std::filesystem::exists(orphan + ".tmp"));
 }
 
 // ---------------------------------------------------------------------------
@@ -718,6 +899,14 @@ TEST(DocSync, RobustnessDocPinsTheResilienceSurface) {
         "kill_resume_smoke.sh"})
     EXPECT_NE(doc.find(needle), std::string::npos)
         << "docs/robustness.md must mention " << needle;
+}
+
+TEST(DocSync, RobustnessDocPinsTheCheckpointFormat) {
+  const std::string doc = read_doc("docs/robustness.md");
+  const std::string version =
+      "currently `" + std::to_string(resilience::Checkpoint::kVersion) + "`";
+  EXPECT_NE(doc.find(version), std::string::npos) << "header table must say " << version;
+  EXPECT_NE(doc.find("XXH64"), std::string::npos) << "header table must name the checksum";
 }
 
 TEST(DocSync, RobustnessDocIsLinked) {

@@ -67,13 +67,15 @@ python3 - "$WORK/ref.ckpt" "$WORK/xresumed.ckpt" <<'EOF' || fail "cross-backend 
 import struct, sys
 
 def read_u(path):
-    # Header: 8B magic, u32 version, u64 payload size, u64 checksum. Payload
-    # starts with two length-prefixed strings (executor, config), then the
-    # length-prefixed u array (see src/resilience/checkpoint.cpp).
+    # 30-byte header: 8B magic, u32 version, byte-order tag, sizeof(real_t),
+    # u64 payload size, u64 checksum. The payload starts with two
+    # length-prefixed strings (executor, config), then the length-prefixed u
+    # array (see src/resilience/checkpoint.hpp).
     with open(path, "rb") as f:
         raw = f.read()
     assert raw[:8] == b"LTSWCKPT", "bad magic in " + path
-    pos = 28
+    assert raw[13] == 8, "u is not float64 in " + path
+    pos = 30
     for _ in range(2):  # executor, config strings
         (n,) = struct.unpack_from("<Q", raw, pos)
         pos += 8 + n
