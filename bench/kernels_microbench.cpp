@@ -55,10 +55,10 @@
 
 #include "common/simd.hpp"
 #include "common/timer.hpp"
-#include "core/lts_newmark.hpp"
 #include "mesh/generators.hpp"
 #include "perf/roofline.hpp"
 #include "perf/run_report.hpp"
+#include "runtime/threaded_lts.hpp"
 #include "sem/batch_plan.hpp"
 #include "sem/wave_operator.hpp"
 
@@ -402,17 +402,20 @@ void BM_ElasticMaskedApplyPlan(benchmark::State& state) {
 BENCHMARK(BM_ElasticMaskedApplyPlan)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_LtsCyclePerDof(benchmark::State& state) {
-  // End-to-end: one LTS cycle on a 3-level strip, per-dof cost.
+  // End-to-end: one LTS cycle on a 3-level strip, per-dof cost, on the
+  // one-rank engine the serial-lts backend runs.
   const auto m = mesh::make_strip_mesh(32, 0.25, 4.0);
   sem::SemSpace space(m, 4);
   sem::AcousticOperator op(space);
   const auto lv = core::assign_levels(m, 0.1);
   const auto st = core::build_lts_structure(space, lv);
-  core::LtsNewmarkSolver solver(op, lv, st);
+  const partition::Partition one_rank{
+      1, std::vector<rank_t>(static_cast<std::size_t>(m.num_elems()), 0)};
+  runtime::ThreadedLtsSolver solver(op, lv, st, one_rank);
   std::vector<real_t> u0(static_cast<std::size_t>(space.num_global_nodes()), 0.01);
   solver.set_state(u0, std::vector<real_t>(u0.size(), 0.0));
   for (auto _ : state) {
-    solver.step();
+    solver.run_cycles(1);
     benchmark::DoNotOptimize(solver.u().data());
   }
   state.counters["dof"] = static_cast<double>(space.num_global_nodes());

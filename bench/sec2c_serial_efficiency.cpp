@@ -11,9 +11,9 @@
 
 #include "common/table.hpp"
 #include "common/timer.hpp"
-#include "core/lts_newmark.hpp"
 #include "mesh/generators.hpp"
 #include "paper_meshes.hpp"
+#include "runtime/threaded_lts.hpp"
 
 using namespace ltswave;
 
@@ -53,10 +53,13 @@ Row run_case(index_t n) {
   // Simulate the same physical duration with both schemes.
   const real_t duration = lts_levels.dt * 4;
 
-  core::LtsNewmarkSolver lts(op, lts_levels, st);
+  // The production LTS engine on one rank (the serial-lts backend), inline.
+  const partition::Partition one_rank{
+      1, std::vector<rank_t>(static_cast<std::size_t>(m.num_elems()), 0)};
+  runtime::ThreadedLtsSolver lts(op, lts_levels, st, one_rank);
   lts.set_state(u0, v0);
   WallTimer t_lts;
-  while (lts.time() < duration - 1e-12) lts.step();
+  while (lts.time() < duration - 1e-12) lts.run_cycles(1);
   const double lts_seconds = t_lts.seconds();
 
   core::NewmarkSolver newmark(op, uni_levels.dt);

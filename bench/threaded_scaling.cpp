@@ -114,8 +114,8 @@ int main(int argc, char** argv) {
 
         perf::RunReport report = solver.run_report();
         report.scenario = spec.name;
-        report.config = "ranks=" + std::to_string(k) + " partitioner=" + to_string(strat) +
-                        " scheduler=" + to_string(mode) + " n=" + std::to_string(mesh_n) +
+        report.config = "executor=threaded/" + to_string(mode) + " ranks=" + std::to_string(k) +
+                        " partitioner=" + to_string(strat) + " n=" + std::to_string(mesh_n) +
                         " nz=" + std::to_string(mesh_nz);
         report.wall_seconds = wall * cycles;
         reports.push_back(std::move(report));

@@ -59,7 +59,7 @@ int main() {
 
   // The same scenario on the rank-parallel executor: two ranks, level-aware
   // barriers with work stealing — selected by registry name, nothing else
-  // changes. Results match the serial solver to roundoff; the facade exposes
+  // changes. Results match the one-rank run to roundoff; the facade exposes
   // the executor's counters.
   auto pspec = scenarios::ScenarioSpec(spec)
                    .with_executor("threaded/level-aware+steal")

@@ -8,7 +8,7 @@
 
 #include "common/timer.hpp"
 #include "core/integrator.hpp"
-#include "core/lts_newmark.hpp"
+#include "core/newmark.hpp"
 #include "core/simulation.hpp"
 #include "partition/feedback.hpp"
 #include "partition/partitioners.hpp"
@@ -27,7 +27,7 @@ Integrator integrator_for(const ExecutorContext& ctx) {
   return ctx.cfg ? Integrator::parse(ctx.cfg->integrator) : Integrator::newmark();
 }
 
-/// Per-receiver trace accumulated by the serial adapters (the threaded
+/// Per-receiver trace accumulated by the Newmark adapter (the threaded
 /// backend keeps equivalent traces inside the solver, per owning rank).
 struct SerialTrace {
   std::vector<real_t> times;
@@ -48,22 +48,41 @@ void drain_traces(Traces& traces, std::span<sem::Receiver> sinks) {
   }
 }
 
-/// Shared implementation of the two serial adapters: both drive a solver with
-/// the same set_state/step/u/add_source surface, sample receivers at every
-/// cycle boundary from the solver's global displacement vector, and drain
-/// traces identically. Only adopt_raw_state differs in arity, so subclasses
-/// implement just the adopt hand-off.
-template <typename Solver>
-class SerialExecutorBase : public Executor {
+/// Global explicit Newmark at Delta-t_min — the non-LTS reference scheme.
+/// Samples receivers at every step from the solver's global displacement
+/// vector, which state() aliases without a copy.
+class NewmarkExecutor final : public Executor {
 public:
+  NewmarkExecutor(std::string name, const ExecutorContext& ctx)
+      : Executor(std::move(name)),
+        ncomp_(ctx.op->ncomp()),
+        solver_(std::make_unique<NewmarkSolver>(*ctx.op, ctx.levels->dt)) {
+    // A multi-level census means levels->dt is the *coarse* step — stepping
+    // the whole mesh at it violates CFL on the fine elements and blows up
+    // without a diagnostic. Callers must build the context with
+    // assign_single_level (consult ExecutorFactory::uses_lts_levels, as the
+    // facade does).
+    LTS_CHECK_MSG(ctx.levels->num_levels == 1,
+                  "executor '" << this->name() << "' needs a single-level census (got "
+                               << ctx.levels->num_levels
+                               << " levels) — build levels with assign_single_level");
+    // The stabilized substep rule only exists inside the LTS recursion; the
+    // single-level reference scheme IS plain Newmark, so any other request is
+    // a configuration error rather than something to silently ignore.
+    LTS_CHECK_MSG(integrator_for(ctx).kind() == IntegratorKind::Newmark,
+                  "executor '" << this->name() << "' only runs integrator=newmark (got '"
+                               << ctx.cfg->integrator << "') — pick an LTS backend");
+    if (ctx.cfg) fault_ = ctx.cfg->fault;
+  }
+
   [[nodiscard]] real_t time() const override { return solver_->time(); }
   [[nodiscard]] std::int64_t element_applies() const override { return solver_->element_applies(); }
   [[nodiscard]] std::int64_t blocks_applied() const override { return solver_->blocks_applied(); }
   [[nodiscard]] std::span<const real_t> v_half() const override { return solver_->v_half(); }
   [[nodiscard]] std::int64_t cycles() const override { return cycles_; }
 
-  /// Serial backends have no ranks (the vectors stay empty) but do run the
-  /// batched path, so the block counter is populated.
+  /// No ranks (the vectors stay empty), but the batched path runs, so the
+  /// block counter is populated.
   [[nodiscard]] ExecutorCounters counters() const override {
     ExecutorCounters c;
     c.blocks_applied = solver_->blocks_applied();
@@ -72,12 +91,7 @@ public:
 
   void drain_receivers(std::span<sem::Receiver> sinks) override { drain_traces(traces_, sinks); }
 
-protected:
-  SerialExecutorBase(std::string name, const ExecutorContext& ctx, std::unique_ptr<Solver> solver)
-      : Executor(std::move(name)), ncomp_(ctx.op->ncomp()), solver_(std::move(solver)) {
-    if (ctx.cfg) fault_ = ctx.cfg->fault;
-  }
-
+private:
   void do_set_state(std::span<const real_t> u0, std::span<const real_t> v0) override {
     solver_->set_state(u0, v0);
   }
@@ -150,7 +164,6 @@ protected:
     s.cycles = cycles_;
     s.element_applies = solver_->element_applies();
     s.blocks_applied = solver_->blocks_applied();
-    export_extra(s);
     return s;
   }
 
@@ -159,7 +172,7 @@ protected:
       LTS_RAISE(resilience::CheckpointMismatch,
                 "checkpoint state has " << s.u.size() << " dofs but executor '" << name()
                                         << "' expects " << solver_->u().size());
-    import_raw(s);
+    solver_->adopt_raw_state(s.u, s.v_half, s.time, s.element_applies, s.blocks_applied);
     cycles_ = s.cycles;
     // Undrained internal traces belong to the pre-restore timeline.
     for (auto& t : traces_) {
@@ -168,14 +181,8 @@ protected:
     }
   }
 
-  /// LTS subclasses append applies_per_level and the frozen accumulators.
-  virtual void export_extra(ExecutorState& /*s*/) const {}
-  virtual void import_raw(const ExecutorState& s) = 0;
-
-  /// The same-kind downcast + source replay every adopt starts with.
-  template <typename Self>
-  const Self& adopt_prologue(const Executor& prev) {
-    const auto* p = dynamic_cast<const Self*>(&prev);
+  void do_adopt_state_from(const Executor& prev) override {
+    const auto* p = dynamic_cast<const NewmarkExecutor*>(&prev);
     LTS_CHECK_MSG(p, "executor '" << name() << "' cannot adopt state from '" << prev.name()
                                   << "' — backends hand off within their own kind");
     for (const auto& s : prev.sources()) solver_->add_source(s);
@@ -183,32 +190,19 @@ protected:
     cycles_ = p->cycles_;
     receivers_seconds_ = p->receivers_seconds_;
     receivers_count_ = p->receivers_count_;
-    return *p;
+    solver_->adopt_raw_state(p->solver_->u(), p->solver_->v_half(), p->solver_->time(),
+                             p->solver_->element_applies(), p->solver_->blocks_applied());
   }
 
-  /// Serial backends report the solver's phase accumulators plus the
-  /// adapter-level receiver-sampling time, and a static roofline for the
-  /// batched plan the solver actually runs.
+  /// The solver's phase accumulators plus the adapter-level receiver-sampling
+  /// time, and a static roofline for the full-mesh plan the solver runs.
   void fill_report(perf::RunReport& r) const override {
     r.cycles = cycles_;
     solver_->fill_phases(r);
     if (!traces_.empty()) r.add_phase("receivers", receivers_seconds_, receivers_count_);
-    if constexpr (requires { solver_->plan(); })
-      r.roofline = perf::roofline_for_plan(solver_->plan());
-    else
-      r.roofline = perf::roofline_for_plan(solver_->op().full_plan());
+    r.roofline = perf::roofline_for_plan(solver_->op().full_plan());
   }
 
-  int ncomp_;
-  std::unique_ptr<Solver> solver_;
-  std::vector<SerialTrace> traces_;
-  std::int64_t cycles_ = 0;
-  double receivers_seconds_ = 0;
-  std::int64_t receivers_count_ = 0;
-  resilience::FaultPlan fault_; ///< from ctx.cfg->fault; one-shot per instance
-  bool fault_fired_ = false;
-
-private:
   void sample_receivers() {
     const auto recs = receivers();
     for (std::size_t i = 0; i < recs.size(); ++i) {
@@ -219,102 +213,46 @@ private:
       traces_[i].values.push_back(solver_->u()[dof]);
     }
   }
+
+  int ncomp_;
+  std::unique_ptr<NewmarkSolver> solver_;
+  std::vector<SerialTrace> traces_;
+  std::int64_t cycles_ = 0;
+  double receivers_seconds_ = 0;
+  std::int64_t receivers_count_ = 0;
+  resilience::FaultPlan fault_; ///< from ctx.cfg->fault; one-shot per instance
+  bool fault_fired_ = false;
 };
 
-/// Global explicit Newmark at Delta-t_min — the non-LTS reference scheme.
-class NewmarkExecutor final : public SerialExecutorBase<NewmarkSolver> {
-public:
-  NewmarkExecutor(std::string name, const ExecutorContext& ctx)
-      : SerialExecutorBase(std::move(name), ctx,
-                           std::make_unique<NewmarkSolver>(*ctx.op, ctx.levels->dt)) {
-    // A multi-level census means levels->dt is the *coarse* step — stepping
-    // the whole mesh at it violates CFL on the fine elements and blows up
-    // without a diagnostic. Callers must build the context with
-    // assign_single_level (consult ExecutorFactory::uses_lts_levels, as the
-    // facade does).
-    LTS_CHECK_MSG(ctx.levels->num_levels == 1,
-                  "executor '" << this->name() << "' needs a single-level census (got "
-                               << ctx.levels->num_levels
-                               << " levels) — build levels with assign_single_level");
-    // The stabilized substep rule only exists inside the LTS recursion; the
-    // single-level reference scheme IS plain Newmark, so any other request is
-    // a configuration error rather than something to silently ignore.
-    LTS_CHECK_MSG(integrator_for(ctx).kind() == IntegratorKind::Newmark,
-                  "executor '" << this->name() << "' only runs integrator=newmark (got '"
-                               << ctx.cfg->integrator << "') — pick an LTS backend");
-  }
-
-private:
-  void do_adopt_state_from(const Executor& prev) override {
-    const auto& p = adopt_prologue<NewmarkExecutor>(prev);
-    solver_->adopt_raw_state(p.solver_->u(), p.solver_->v_half(), p.solver_->time(),
-                             p.solver_->element_applies(), p.solver_->blocks_applied());
-  }
-  void import_raw(const ExecutorState& s) override {
-    solver_->adopt_raw_state(s.u, s.v_half, s.time, s.element_applies, s.blocks_applied);
-  }
-};
-
-/// The production serial multi-level LTS-Newmark scheme — the baseline every
-/// other backend is conformance-tested against.
-class SerialLtsExecutor final : public SerialExecutorBase<LtsNewmarkSolver> {
-public:
-  SerialLtsExecutor(std::string name, const ExecutorContext& ctx)
-      : SerialExecutorBase(std::move(name), ctx,
-                           std::make_unique<LtsNewmarkSolver>(*ctx.op, *ctx.levels,
-                                                              *ctx.structure,
-                                                              integrator_for(ctx))) {}
-
-private:
-  void do_adopt_state_from(const Executor& prev) override {
-    const auto& p = adopt_prologue<SerialLtsExecutor>(prev);
-    solver_->adopt_raw_state(p.solver_->u(), p.solver_->v_half(), p.solver_->time(),
-                             p.solver_->element_applies(), p.solver_->applies_per_level(),
-                             p.solver_->blocks_applied());
-  }
-  void export_extra(ExecutorState& s) const override {
-    s.integrator = std::string(solver_->integrator().name());
-    s.integrator_aux = solver_->integrator().aux_state();
-    s.applies_per_level = solver_->applies_per_level();
-    s.frozen_forces = solver_->frozen_forces();
-    s.cumulative = solver_->cumulative();
-  }
-  void import_raw(const ExecutorState& s) override {
-    // A cross-backend checkpoint may carry a different level split; per-level
-    // work attribution is then unknowable, so it restarts at zero while the
-    // total carries over.
-    std::vector<std::int64_t> apl = s.applies_per_level;
-    apl.resize(solver_->applies_per_level().size(), 0);
-    if (s.applies_per_level.size() != apl.size()) std::fill(apl.begin(), apl.end(), 0);
-    solver_->adopt_raw_state(s.u, s.v_half, s.time, s.element_applies, apl, s.blocks_applied);
-    solver_->import_accumulators(s.frozen_forces, s.cumulative);
-  }
-};
-
-/// Rank-parallel shared-memory backend: partitions the mesh and drives the
-/// persistent-pool ThreadedLtsSolver under a fixed scheduler mode. One
-/// registry entry per SchedulerMode, so the conformance grid exercises every
-/// synchronization strategy without hand-written lists.
+/// The production LTS backend: partitions the mesh into `ranks` parts and
+/// drives ThreadedLtsSolver under a fixed scheduler mode — on the persistent
+/// pool for several ranks, inline on the calling thread for one ("serial-lts",
+/// and threaded/<mode> with ranks <= 1). One registry entry per
+/// SchedulerMode, so the conformance grid exercises every synchronization
+/// strategy without hand-written lists.
 class ThreadedExecutor final : public Executor {
 public:
-  ThreadedExecutor(std::string name, const ExecutorContext& ctx, runtime::SchedulerMode mode)
+  ThreadedExecutor(std::string name, const ExecutorContext& ctx, runtime::SchedulerMode mode,
+                   rank_t ranks)
       : Executor(std::move(name)), ctx_(ctx) {
-    LTS_CHECK_MSG(ctx.cfg && ctx.mesh, "executor '" << this->name()
-                                                    << "' needs ExecutorContext.cfg and .mesh "
-                                                       "(it partitions the mesh)");
-    scfg_ = ctx.cfg->scheduler;
-    scfg_.mode = mode; // the registry key, not the legacy config field, decides
-    LTS_CHECK_MSG(ctx.cfg->num_ranks > 1,
-                  "executor '" << this->name() << "' needs num_ranks > 1 (got "
-                               << ctx.cfg->num_ranks << ")");
-    partition::PartitionerConfig pc;
-    pc.strategy = ctx.cfg->partitioner;
-    pc.num_parts = ctx.cfg->num_ranks;
-    part_ = partition::partition_mesh(*ctx.mesh, ctx.levels->elem_level, ctx.levels->num_levels,
-                                      pc);
+    if (ctx.cfg) scfg_ = ctx.cfg->scheduler;
+    scfg_.mode = mode; // the registry key, not the config field, decides
+    if (ranks > 1) {
+      LTS_CHECK_MSG(ctx.cfg && ctx.mesh, "executor '" << this->name()
+                                                      << "' needs ExecutorContext.cfg and .mesh "
+                                                         "(it partitions the mesh)");
+      partition::PartitionerConfig pc;
+      pc.strategy = ctx.cfg->partitioner;
+      pc.num_parts = ranks;
+      part_ = partition::partition_mesh(*ctx.mesh, ctx.levels->elem_level,
+                                        ctx.levels->num_levels, pc);
+    } else {
+      part_.num_parts = 1;
+      part_.part.assign(static_cast<std::size_t>(ctx.op->space().num_elems()), 0);
+    }
     solver_ = std::make_unique<runtime::ThreadedLtsSolver>(*ctx.op, *ctx.levels, *ctx.structure,
                                                            part_, scfg_, integrator_for(ctx));
-    if (ctx.cfg->fault.armed()) solver_->set_fault(ctx.cfg->fault);
+    if (ctx.cfg && ctx.cfg->fault.armed()) solver_->set_fault(ctx.cfg->fault);
   }
 
   [[nodiscard]] real_t time() const override { return solver_->time(); }
@@ -327,7 +265,10 @@ public:
     return {solver_->busy_seconds(), solver_->stall_seconds(), solver_->steal_counts(),
             solver_->blocks_applied()};
   }
-  [[nodiscard]] bool supports_feedback() const noexcept override { return true; }
+  /// Repartitioning needs more than one part to move work between.
+  [[nodiscard]] bool supports_feedback() const noexcept override {
+    return solver_->num_ranks() > 1;
+  }
   [[nodiscard]] runtime::ThreadedLtsSolver* threaded_solver() const noexcept override {
     return solver_.get();
   }
@@ -430,6 +371,10 @@ private:
     solver_->adopt_state_from(*p->solver_);
   }
   void do_refine_from_feedback() override {
+    if (!supports_feedback()) {
+      Executor::do_refine_from_feedback();
+      return;
+    }
     partition::FeedbackSignal sig;
     sig.busy_seconds = solver_->busy_seconds();
     sig.stall_seconds = solver_->stall_seconds();
@@ -437,7 +382,7 @@ private:
 
     partition::PartitionerConfig pc;
     pc.strategy = ctx_.cfg->partitioner;
-    pc.num_parts = ctx_.cfg->num_ranks;
+    pc.num_parts = part_.num_parts;
     part_ = partition::refine_with_feedback(*ctx_.mesh, ctx_.levels->elem_level,
                                             ctx_.levels->num_levels, part_, sig, pc);
     auto fresh = std::make_unique<runtime::ThreadedLtsSolver>(*ctx_.op, *ctx_.levels,
@@ -471,18 +416,26 @@ ExecutorFactory::ExecutorFactory() {
         return std::make_unique<NewmarkExecutor>("newmark", ctx);
       },
       /*uses_lts_levels=*/false);
+  // Always one rank, whatever the config's rank count: the Supervisor's
+  // fallback to "serial-lts" keeps the failed run's config.
   register_backend("serial-lts",
-                   "serial multi-level LTS-Newmark (paper Sec. II-C) — the conformance baseline",
+                   "multi-level LTS-Newmark (paper Sec. II-C) on one rank, inline on the "
+                   "calling thread — the conformance baseline",
                    [](const ExecutorContext& ctx) -> std::unique_ptr<Executor> {
-                     return std::make_unique<SerialLtsExecutor>("serial-lts", ctx);
+                     return std::make_unique<ThreadedExecutor>(
+                         "serial-lts", ctx, runtime::SchedulerMode::LevelAware, 1);
                    });
   for (const runtime::SchedulerMode mode : runtime::kAllSchedulerModes) {
     const std::string key = "threaded/" + runtime::to_string(mode);
     register_backend(key,
                      "rank-parallel LTS on the persistent thread pool, scheduler '" +
-                         runtime::to_string(mode) + "'",
+                         runtime::to_string(mode) + "', ranks=N (inline when N <= 1)",
                      [key, mode](const ExecutorContext& ctx) -> std::unique_ptr<Executor> {
-                       return std::make_unique<ThreadedExecutor>(key, ctx, mode);
+                       LTS_CHECK_MSG(ctx.cfg, "executor '" << key
+                                                           << "' needs ExecutorContext.cfg "
+                                                              "(it reads ranks from it)");
+                       return std::make_unique<ThreadedExecutor>(key, ctx, mode,
+                                                                 ctx.cfg->num_ranks);
                      });
   }
 }
@@ -529,12 +482,6 @@ std::vector<std::string> ExecutorFactory::names() const {
   out.reserve(backends_.size());
   for (const auto& [key, entry] : backends_) out.push_back(key);
   return out; // std::map iteration is already sorted
-}
-
-std::string resolve_executor_name(const SimulationConfig& cfg) {
-  if (!cfg.executor.empty()) return cfg.executor;
-  if (cfg.num_ranks > 1) return "threaded/" + runtime::to_string(cfg.scheduler.mode);
-  return cfg.use_lts ? "serial-lts" : "newmark";
 }
 
 } // namespace ltswave::core

@@ -15,7 +15,8 @@
 /// suite, which enumerates the registry.
 ///
 /// Contract invariants every backend must satisfy (enforced by
-/// tests/test_executor.cpp against the serial-LTS baseline):
+/// tests/test_executor.cpp, with "serial-lts" — the LTS engine on one rank —
+/// as the baseline the other backends are compared with):
 ///  * set_state -> advance_cycles(n) -> state() reproduces the baseline
 ///    physics (to roundoff for LTS-scheme backends, to the discretization
 ///    tolerance for reference schemes like plain Newmark);
@@ -85,8 +86,10 @@ struct ExecutorContext {
   const SimulationConfig* cfg = nullptr;
 };
 
-/// Per-rank performance counters; empty vectors for backends without ranks
-/// (the serial solvers). Sizes agree when non-empty. blocks_applied is
+/// Per-rank performance counters: one entry per rank for the LTS engine
+/// backends ("serial-lts" has exactly one, with zero stall), empty vectors
+/// for the rankless "newmark" reference. Sizes agree when non-empty.
+/// blocks_applied is
 /// backend-wide: batched kernel calls consumed so far (every backend runs the
 /// block path, so this is populated even when the per-rank vectors are not).
 struct ExecutorCounters {
@@ -241,7 +244,7 @@ public:
   /// Coarse cycles advanced so far (steps, for single-level schemes).
   [[nodiscard]] virtual std::int64_t cycles() const = 0;
 
-  /// Per-rank busy/stall/steal counters; empty for serial backends.
+  /// Per-rank busy/stall/steal counters; empty for the rankless "newmark".
   [[nodiscard]] virtual ExecutorCounters counters() const { return {}; }
 
   /// Structured observability snapshot: per-phase timings, the per-rank
@@ -270,7 +273,7 @@ public:
   /// Supervisor merges its own recovery events on top in the final report).
   [[nodiscard]] std::span<const perf::RunEvent> events() const noexcept { return events_; }
 
-  /// Measured-cost repartitioning support (threaded backends).
+  /// Measured-cost repartitioning support (LTS engine on more than one rank).
   [[nodiscard]] virtual bool supports_feedback() const noexcept { return false; }
 
   /// Repartitions from the backend's own measured counters and continues the
@@ -280,14 +283,14 @@ public:
     state_dirty_ = true;
   }
 
-  /// The rank-parallel solver driving this backend, when there is one —
+  /// The LTS engine driving this backend, when there is one —
   /// benches and examples read scheduler mode, counters and participation
   /// through this without the facade knowing backend types.
   [[nodiscard]] virtual runtime::ThreadedLtsSolver* threaded_solver() const noexcept {
     return nullptr;
   }
 
-  /// The mesh partition driving this backend (nullptr for serial backends).
+  /// The mesh partition driving this backend (nullptr for "newmark").
   [[nodiscard]] virtual const partition::Partition* partition() const noexcept { return nullptr; }
 
   /// Sources/receivers registered so far (the master record adopt copies).
@@ -304,7 +307,7 @@ protected:
   virtual void do_set_state(std::span<const real_t> u0, std::span<const real_t> v0) = 0;
   virtual void do_advance_cycles(std::int64_t cycles) = 0;
   /// Return the backend's live displacement vector when it already is one
-  /// contiguous host vector (serial adapters) — state() then aliases it with
+  /// contiguous host vector ("newmark") — state() then aliases it with
   /// no copy. Distributed backends return nullptr and gather instead.
   [[nodiscard]] virtual const std::vector<real_t>* direct_state() const { return nullptr; }
   virtual void gather_state(std::vector<real_t>& out) const = 0;
@@ -333,8 +336,9 @@ private:
   mutable bool state_dirty_ = true;
 };
 
-/// String-keyed registry of execution backends. Builtins ("newmark",
-/// "serial-lts", "threaded/<mode>" for every SchedulerMode) self-register on
+/// String-keyed registry of execution backends — the only backend selector.
+/// Builtins ("newmark", "serial-lts", "threaded/<mode>" for every
+/// SchedulerMode) self-register on
 /// first use; external backends (MPI, batched-kernel, ...) call
 /// register_backend once at startup and every facade, bench and conformance
 /// grid picks them up by name.
@@ -353,8 +357,8 @@ public:
   /// Builds the named backend; throws CheckFailure listing every registered
   /// name when `name` is unknown. Every backend needs at least op, levels and
   /// structure; individual backends may require more and throw a CheckFailure
-  /// naming the missing field (the threaded builtins need mesh and cfg to
-  /// partition).
+  /// naming the missing field (threaded/<mode> reads its rank count from
+  /// cfg, and needs the mesh to partition more than one rank).
   [[nodiscard]] std::unique_ptr<Executor> create(std::string_view name,
                                                  const ExecutorContext& ctx) const;
 
@@ -378,12 +382,5 @@ private:
 
   std::map<std::string, Entry, std::less<>> backends_;
 };
-
-/// The registry key `cfg` resolves to: `cfg.executor` verbatim when set, else
-/// the legacy-field shim — num_ranks > 1 selects "threaded/<scheduler mode>",
-/// use_lts selects "serial-lts", otherwise "newmark". Keeping the shim here
-/// (not in the facade) makes `SimulationConfig{num_ranks, scheduler}` call
-/// sites and the executor-name API provably identical.
-[[nodiscard]] std::string resolve_executor_name(const SimulationConfig& cfg);
 
 } // namespace ltswave::core

@@ -7,8 +7,8 @@
 /// integrator-agnostic: what varies between schemes is only the per-substep
 /// velocity *kick* and displacement *drift* applied at the deepest level of
 /// the recursion. An Integrator is a small value object that yields those
-/// coefficients; the solvers (LtsNewmarkSolver, ThreadedLtsSolver) consult it
-/// at exactly the deepest-level update sites and keep every other update —
+/// coefficients; the solvers (ThreadedLtsSolver, LtsNewmarkReference) consult
+/// it at exactly the deepest-level update sites and keep every other update —
 /// intermediate collapsed steps, velocity reconstructions, the top-level
 /// physical step — in the scheme-independent form the algebra dictates.
 ///

@@ -8,11 +8,9 @@
 ///
 /// Execution is fully pluggable: the facade holds exactly one core::Executor
 /// created by name through ExecutorFactory (see executor.hpp) and contains no
-/// per-backend branching. Select a backend explicitly with
-/// SimulationConfig::executor ("serial-lts", "newmark", "threaded/<mode>",
-/// or any externally registered name), or leave it empty and let the legacy
-/// fields (use_lts, num_ranks, scheduler) resolve it — the deprecation shim
-/// keeps existing call sites running unchanged and provably identical.
+/// per-backend branching. SimulationConfig::executor is the one selector
+/// ("serial-lts" by default, "newmark", "threaded/<mode>", or any externally
+/// registered name).
 
 #include <functional>
 #include <memory>
@@ -47,12 +45,12 @@ struct SimulationConfig {
   int order = 4;               ///< SEM polynomial order (paper: 4 -> 125 nodes/elem)
   Physics physics = Physics::Acoustic;
   real_t courant = 0.12;       ///< CFL constant C_cfl of Eq. 7 (relative to min edge)
-  bool use_lts = true;         ///< legacy shim: false resolves to the "newmark" executor
   level_t max_levels = 12;
-  /// Legacy shim for rank-parallel shared-memory execution: > 1 resolves to
-  /// the "threaded/<scheduler.mode>" executor on that many ranks. Threaded
-  /// executors selected by name also read their rank count from here.
+  /// Rank count of the "threaded/<mode>" executors; one rank or fewer runs
+  /// the LTS engine inline on the calling thread. Other executors ignore it.
   rank_t num_ranks = 0;
+  /// Thread-pool settings of the threaded executors. `scheduler.mode` is not
+  /// a config setting: each threaded executor takes it from its registry key.
   runtime::SchedulerConfig scheduler{};
   partition::Strategy partitioner = partition::Strategy::ScotchP;
   /// Steal/stall-feedback repartitioning (feedback-capable executors only):
@@ -62,9 +60,8 @@ struct SimulationConfig {
   /// the refined partition with the state carried over exactly, and
   /// continues. 0 = off.
   int feedback_warmup_cycles = 0;
-  /// Execution backend by ExecutorFactory name; empty = resolve from the
-  /// legacy fields above (see resolve_executor_name in executor.hpp).
-  std::string executor;
+  /// Execution backend by ExecutorFactory name.
+  std::string executor = "serial-lts";
   /// Time-integrator name (core/integrator.hpp): "newmark" (default, also
   /// selected by the empty string) or "leapfrog-stab" — the Grote/Michel/
   /// Sauter stabilized leapfrog substep rule on the deepest LTS level.
@@ -81,18 +78,19 @@ struct SimulationConfig {
   bool operator==(const SimulationConfig&) const = default;
 };
 
-/// "order=4 physics=acoustic courant=0.12 lts=on max-levels=12 ranks=0
-///  partitioner=scotch-p feedback=0 executor=auto scheduler.mode=level-aware
+/// "order=4 physics=acoustic courant=0.12 max-levels=12 ranks=0
+///  partitioner=scotch-p feedback=0 executor=serial-lts
 ///  scheduler.oversubscribe=forbid scheduler.chunk=0" — round-trips through
-/// parse_simulation_config exactly. Opt-in keys (integrator, the resilience
-/// family) print only when set, so default configs keep this exact string.
+/// parse_simulation_config exactly, scheduler.mode aside (it is no key).
+/// Opt-in keys (integrator, the resilience family) print only when set, so
+/// default configs keep this exact string.
 [[nodiscard]] std::string to_string(const SimulationConfig& cfg);
 
 /// Applies one `key=value` setting to `cfg`. Returns false when `key` is not
 /// a SimulationConfig key (bad values for known keys still throw, with a
 /// message listing the accepted spellings). Accepts both the dotted keys
-/// to_string prints (scheduler.mode=...) and the short scenario-CLI
-/// spellings (scheduler=..., oversubscribe=..., chunk=...) — the one dispatch
+/// to_string prints (scheduler.chunk=...) and the short scenario-CLI
+/// spellings (oversubscribe=..., chunk=...) — the one dispatch
 /// both parse_simulation_config and ScenarioSpec::apply_override share, so
 /// the two CLI surfaces cannot drift.
 [[nodiscard]] bool try_simulation_config_key(SimulationConfig& cfg, std::string_view key,
@@ -182,15 +180,16 @@ public:
   /// The execution backend driving this simulation and its registry name.
   [[nodiscard]] const Executor& executor() const noexcept { return *executor_; }
   [[nodiscard]] Executor& executor() noexcept { return *executor_; }
-  [[nodiscard]] const std::string& executor_name() const noexcept { return executor_name_; }
+  [[nodiscard]] const std::string& executor_name() const noexcept { return cfg_.executor; }
 
-  /// The rank-parallel solver when the backend is threaded, else nullptr.
+  /// The LTS engine when the backend runs it (every backend but "newmark"),
+  /// else nullptr.
   /// Exposes scheduler mode, per-rank busy/stall/steal counters, and
   /// per-level participation to benches and examples.
   [[nodiscard]] const runtime::ThreadedLtsSolver* threaded() const noexcept;
   [[nodiscard]] runtime::ThreadedLtsSolver* threaded() noexcept;
 
-  /// The mesh partition driving the backend (empty for serial backends).
+  /// The mesh partition driving the backend (empty for "newmark").
   [[nodiscard]] const partition::Partition& part() const noexcept;
 
   /// Repartitions from the backend's measured busy/stall/steal counters
@@ -205,7 +204,6 @@ public:
 
 private:
   SimulationConfig cfg_;
-  std::string executor_name_;
   mesh::HexMesh mesh_;
   std::unique_ptr<sem::SemSpace> space_;
   std::unique_ptr<sem::WaveOperator> op_;

@@ -39,22 +39,10 @@ ThreadedLtsSolver::ThreadedLtsSolver(const sem::WaveOperator& op,
   u_ = std::make_unique_for_overwrite<real_t[]>(ndof_);
   v_ = std::make_unique_for_overwrite<real_t[]>(ndof_);
   scratch_ = std::make_unique_for_overwrite<real_t[]>(ndof_);
-  const level_t nl = levels.num_levels;
-  cumulative_.assign(nl > 1 ? ndof_ : 0, 0.0);
-  forces_.assign(static_cast<std::size_t>(std::max(0, nl - 1)), std::vector<real_t>(ndof_, 0.0));
-  vt_.assign(static_cast<std::size_t>(std::max(0, nl - 1)), std::vector<real_t>(ndof_, 0.0));
-  usave_.assign(static_cast<std::size_t>(std::max(0, nl - 1)), std::vector<real_t>(ndof_, 0.0));
 
   build_rank_data();
   build_participation();
   if (cfg_.mode == SchedulerMode::LevelAwareSteal) build_chunks();
-
-  level_barriers_.resize(static_cast<std::size_t>(nl));
-  for (level_t k = 1; k <= nl; ++k) {
-    const auto n = static_cast<std::ptrdiff_t>(group_[static_cast<std::size_t>(k - 1)].size());
-    level_barriers_[static_cast<std::size_t>(k - 1)] =
-        n > 0 ? std::make_unique<std::barrier<>>(n) : nullptr;
-  }
 
   // Atomic slots are not copy-assignable, so size the vectors by (move-)
   // constructing fresh ones; value-initialized atomics start at zero.
@@ -62,8 +50,19 @@ ThreadedLtsSolver::ThreadedLtsSolver(const sem::WaveOperator& op,
   stall_ = std::vector<std::atomic<double>>(static_cast<std::size_t>(nranks_));
   steals_ = std::vector<std::atomic<std::int64_t>>(static_cast<std::size_t>(nranks_));
 
-  // The persistent worker team: spawned once, reused by every run_cycles.
-  pool_ = std::make_unique<ThreadPool>(static_cast<int>(nranks_), cfg_.oversubscribe);
+  // The persistent worker team and its level barriers: spawned once, reused
+  // by every run_cycles. A single rank has nobody to wait for and runs on
+  // the calling thread instead.
+  const level_t nl = levels.num_levels;
+  if (nranks_ > 1) {
+    level_barriers_.resize(static_cast<std::size_t>(nl));
+    for (level_t k = 1; k <= nl; ++k) {
+      const auto n = static_cast<std::ptrdiff_t>(group_[static_cast<std::size_t>(k - 1)].size());
+      level_barriers_[static_cast<std::size_t>(k - 1)] =
+          n > 0 ? std::make_unique<std::barrier<>>(n) : nullptr;
+    }
+    pool_ = std::make_unique<ThreadPool>(static_cast<int>(nranks_), cfg_.oversubscribe);
+  }
 
   // NUMA-aware placement: every rank's hot buffers — its plan block slabs,
   // accumulation buffer, workspace, and chunk buffers — are allocated/filled
@@ -71,18 +70,29 @@ ThreadedLtsSolver::ThreadedLtsSolver(const sem::WaveOperator& op,
   // memory node.
   first_touch_rank_buffers();
   if (cfg_.mode == SchedulerMode::LevelAwareSteal) build_steal_reduction();
+
+  // The LTS accumulators come last, after the plan's block slabs and the
+  // build temporaries: the peak footprint is then the steady-state one.
+  const auto nacc = static_cast<std::size_t>(std::max(0, nl - 1));
+  cumulative_.assign(nl > 1 ? ndof_ : 0, 0.0);
+  forces_.assign(nacc, std::vector<real_t>(ndof_, 0.0));
+  vt_.assign(nacc, std::vector<real_t>(ndof_, 0.0));
+  usave_.assign(nacc, std::vector<real_t>(ndof_, 0.0));
 }
 
 void ThreadedLtsSolver::first_touch_rank_buffers() {
   const level_t nl = levels_->num_levels;
-  pool_->run([this, nl](int worker) {
+  // A rank without peers outside steal mode accumulates into scratch_ and
+  // needs no private buffer (see acc_buffer).
+  const bool private_bufs = nranks_ > 1 || cfg_.mode == SchedulerMode::LevelAwareSteal;
+  const auto touch = [this, nl, private_bufs](int worker) {
     const auto r = static_cast<rank_t>(worker);
     auto& rd = ranks_[static_cast<std::size_t>(r)];
     // This rank's plan groups are contiguous: (r, 1) .. (r, nl).
     const index_t first = plan_->group_blocks(group_index(r, 1)).first;
     const index_t last = plan_->group_blocks(group_index(r, nl)).last;
     plan_->fill(first, last);
-    rd.private_buf.assign(ndof_, 0.0);
+    if (private_bufs) rd.private_buf.assign(ndof_, 0.0);
     rd.workspace = std::make_unique<sem::KernelWorkspace>(op_->make_workspace());
     const auto nc = static_cast<std::size_t>(ncomp_);
     for (auto& level_chunks : rd.chunks)
@@ -98,7 +108,11 @@ void ThreadedLtsSolver::first_touch_rank_buffers() {
         scratch_[g * nc + c] = 0.0;
       }
     }
-  });
+  };
+  if (pool_)
+    pool_->run(touch);
+  else
+    touch(0);
 }
 
 void ThreadedLtsSolver::build_rank_data() {
@@ -107,10 +121,12 @@ void ThreadedLtsSolver::build_rank_data() {
   const level_t nl = levels_->num_levels;
   const int npts = space.nodes_per_elem();
   const gindex_t nn = space.num_global_nodes();
+  const auto nnodes = static_cast<std::size_t>(nn);
+  const bool steal = cfg_.mode == SchedulerMode::LevelAwareSteal;
 
   // Global row owner: min rank among elements containing the node. Kept as a
   // member — source/receiver registration resolves owning ranks through it.
-  row_owner_.assign(static_cast<std::size_t>(nn), nranks_);
+  row_owner_.assign(nnodes, nranks_);
   for (index_t e = 0; e < space.num_elems(); ++e) {
     const rank_t r = part_->part[static_cast<std::size_t>(e)];
     const gindex_t* l2g = space.elem_nodes(e);
@@ -128,7 +144,7 @@ void ThreadedLtsSolver::build_rank_data() {
     rd.shared_rows.assign(static_cast<std::size_t>(nl), {});
     rd.shared_offsets.assign(static_cast<std::size_t>(nl), {});
     rd.shared_touchers.assign(static_cast<std::size_t>(nl), {});
-    rd.owned_rows.assign(static_cast<std::size_t>(nl), {});
+    if (steal) rd.owned_rows.assign(static_cast<std::size_t>(nl), {});
     rd.update_rows.assign(static_cast<std::size_t>(nl), {});
     rd.recon_rows.assign(static_cast<std::size_t>(nl), {});
     rd.sources.assign(static_cast<std::size_t>(nl), {});
@@ -138,50 +154,90 @@ void ThreadedLtsSolver::build_rank_data() {
     // by the owning pool worker (NUMA first touch).
   }
 
-  for (level_t k = 1; k <= nl; ++k) {
-    // Split E(k) by element owner and gather per-rank private rows.
-    std::vector<std::pair<gindex_t, rank_t>> touch_pairs; // (row, rank)
-    for (index_t e : st.eval_elems[static_cast<std::size_t>(k - 1)]) {
-      const rank_t r = part_->part[static_cast<std::size_t>(e)];
-      ranks_[static_cast<std::size_t>(r)].eval_elems[static_cast<std::size_t>(k - 1)].push_back(e);
-      const gindex_t* l2g = space.elem_nodes(e);
-      for (int q = 0; q < npts; ++q) touch_pairs.emplace_back(l2g[q], r);
-    }
-    std::sort(touch_pairs.begin(), touch_pairs.end());
-    touch_pairs.erase(std::unique(touch_pairs.begin(), touch_pairs.end()), touch_pairs.end());
+  // The ranks touching each row of E(k), as a CSR (touch_off, touchers) built
+  // without sorting: a counting pass and a fill pass that both visit ranks in
+  // ascending order, with a per-row "last rank" stamp so each (row, rank)
+  // pair counts once. Every toucher list thereby comes out rank-sorted, its
+  // first entry being the row's owner (the minimum touching rank).
+  {
+    std::vector<rank_t> stamp(nnodes);
+    std::vector<index_t> touch_off(nnodes + 1);
+    std::vector<rank_t> touchers;
+    for (level_t k = 1; k <= nl; ++k) {
+      const auto L = static_cast<std::size_t>(k - 1);
+      // Split E(k) by element owner.
+      for (index_t e : st.eval_elems[L])
+        ranks_[static_cast<std::size_t>(part_->part[static_cast<std::size_t>(e)])]
+            .eval_elems[L]
+            .push_back(e);
+      const auto visit_touches = [&](auto&& on_touch) {
+        std::fill(stamp.begin(), stamp.end(), rank_t{-1});
+        for (rank_t r = 0; r < nranks_; ++r)
+          for (index_t e : ranks_[static_cast<std::size_t>(r)].eval_elems[L]) {
+            const gindex_t* l2g = space.elem_nodes(e);
+            for (int q = 0; q < npts; ++q) {
+              const auto g = static_cast<std::size_t>(l2g[q]);
+              if (stamp[g] == r) continue;
+              stamp[g] = r;
+              on_touch(g, r);
+            }
+          }
+      };
+      std::fill(touch_off.begin(), touch_off.end(), index_t{0});
+      visit_touches([&](std::size_t g, rank_t) { ++touch_off[g + 1]; });
+      for (std::size_t g = 0; g < nnodes; ++g) touch_off[g + 1] += touch_off[g];
+      touchers.resize(static_cast<std::size_t>(touch_off[nnodes]));
+      // touch_off[g] doubles as row g's fill cursor, ending at the old
+      // touch_off[g + 1]; shifting back by one restores the offsets.
+      visit_touches([&](std::size_t g, rank_t r) {
+        touchers[static_cast<std::size_t>(touch_off[g]++)] = r;
+      });
+      std::copy_backward(touch_off.begin(), touch_off.end() - 1, touch_off.end());
+      touch_off[0] = 0;
 
-    // Per-rank private rows (rows their own elements touch).
-    for (const auto& [g, r] : touch_pairs)
-      ranks_[static_cast<std::size_t>(r)].private_rows[static_cast<std::size_t>(k - 1)].push_back(g);
-
-    // Reduction ownership: the minimum touching rank owns the row at this
-    // level; rows with one toucher are copies, others sum a toucher list.
-    std::size_t i = 0;
-    while (i < touch_pairs.size()) {
-      std::size_t j = i;
-      while (j < touch_pairs.size() && touch_pairs[j].first == touch_pairs[i].first) ++j;
-      const gindex_t g = touch_pairs[i].first;
-      const rank_t owner = touch_pairs[i].second; // sorted -> min rank first
-      auto& rd = ranks_[static_cast<std::size_t>(owner)];
-      if (j - i == 1) {
-        rd.solo_rows[static_cast<std::size_t>(k - 1)].emplace_back(g, touch_pairs[i].second);
-      } else {
-        auto& offs = rd.shared_offsets[static_cast<std::size_t>(k - 1)];
-        auto& tchs = rd.shared_touchers[static_cast<std::size_t>(k - 1)];
-        if (offs.empty()) offs.push_back(0);
-        rd.shared_rows[static_cast<std::size_t>(k - 1)].push_back(g);
-        for (std::size_t p = i; p < j; ++p) tchs.push_back(touch_pairs[p].second);
-        offs.push_back(static_cast<index_t>(tchs.size()));
+      for (std::size_t g = 0; g < nnodes; ++g) {
+        const auto first = static_cast<std::size_t>(touch_off[g]);
+        const auto last = static_cast<std::size_t>(touch_off[g + 1]);
+        if (first == last) continue;
+        const auto row = static_cast<gindex_t>(g);
+        // Per-rank private rows (rows their own elements touch).
+        for (std::size_t t = first; t < last; ++t)
+          ranks_[static_cast<std::size_t>(touchers[t])].private_rows[L].push_back(row);
+        // Reduction ownership: the minimum touching rank owns the row at this
+        // level; rows with one toucher are copies, others sum a toucher list.
+        auto& rd = ranks_[static_cast<std::size_t>(touchers[first])];
+        if (last - first == 1) {
+          rd.solo_rows[L].push_back(row);
+        } else {
+          auto& offs = rd.shared_offsets[L];
+          auto& tchs = rd.shared_touchers[L];
+          if (offs.empty()) offs.push_back(0);
+          rd.shared_rows[L].push_back(row);
+          tchs.insert(tchs.end(), touchers.begin() + static_cast<std::ptrdiff_t>(first),
+                      touchers.begin() + static_cast<std::ptrdiff_t>(last));
+          offs.push_back(static_cast<index_t>(tchs.size()));
+        }
+        if (steal) rd.owned_rows[L].push_back(row);
       }
-      rd.owned_rows[static_cast<std::size_t>(k - 1)].push_back(g);
-      i = j;
-    }
 
-    // Row-update ownership uses the global row owner.
-    for (gindex_t g : st.update_rows[static_cast<std::size_t>(k - 1)])
-      ranks_[static_cast<std::size_t>(row_owner_[static_cast<std::size_t>(g)])].update_rows[static_cast<std::size_t>(k - 1)].push_back(g);
-    for (gindex_t g : st.recon_rows[static_cast<std::size_t>(k - 1)])
-      ranks_[static_cast<std::size_t>(row_owner_[static_cast<std::size_t>(g)])].recon_rows[static_cast<std::size_t>(k - 1)].push_back(g);
+      // Row-update ownership uses the global row owner.
+      for (gindex_t g : st.update_rows[L])
+        ranks_[static_cast<std::size_t>(row_owner_[static_cast<std::size_t>(g)])]
+            .update_rows[L]
+            .push_back(g);
+      for (gindex_t g : st.recon_rows[L])
+        ranks_[static_cast<std::size_t>(row_owner_[static_cast<std::size_t>(g)])]
+            .recon_rows[L]
+            .push_back(g);
+      // Sealed level by level, so at most one level's copies of whole
+      // structure lists are ever alive at once.
+      for (auto& rd : ranks_) {
+        rd.private_rows[L].finish(st.eval_rows[L]);
+        rd.solo_rows[L].finish(st.eval_rows[L]);
+        rd.update_rows[L].finish(st.update_rows[L]);
+        rd.recon_rows[L].finish(st.recon_rows[L]);
+      }
+    }
   }
 
   // The batched execution plan: one group per (rank, level) in that order —
@@ -424,7 +480,7 @@ void ThreadedLtsSolver::fill_phases(perf::RunReport& report) const {
   sum_slot(slot_update(), "update");
   if (!sources_.empty()) sum_slot(slot_sources(), "sources");
   if (!traces_.empty()) sum_slot(slot_receivers(), "receivers");
-  sum_slot(slot_barrier(), "barrier");
+  if (pool_) sum_slot(slot_barrier(), "barrier");
 }
 
 perf::RunReport ThreadedLtsSolver::run_report() const {
@@ -502,8 +558,8 @@ void ThreadedLtsSolver::set_state(std::span<const real_t> u0, std::span<const re
         v_[g * nc + c] = v0[g * nc + c] + 0.5 * dt_ * im * scratch_[g * nc + c];
     }
   } else {
-    // v^{-1/2} = v(0) - dt/2 * Minv (f(0) - K u0), exactly as the serial
-    // solvers compute the staggered start when sources are present.
+    // v^{-1/2} = v(0) - dt/2 * Minv (f(0) - K u0), exactly as
+    // core::NewmarkSolver computes the staggered start with sources.
     std::vector<real_t> f(ndof_, 0.0);
     for (const auto& s : sources_) s.accumulate(0.0, ncomp_, f.data());
     for (std::size_t g = 0; g < inv_mass_.size(); ++g) {
@@ -555,7 +611,7 @@ void ThreadedLtsSolver::import_accumulators(const std::vector<std::vector<real_t
 }
 
 void ThreadedLtsSolver::sync(rank_t r, level_t k) {
-  if (!participates(r, k)) return;
+  if (!pool_ || !participates(r, k)) return; // a lone rank never waits
   const WallTimer t;
   level_barriers_[static_cast<std::size_t>(k - 1)]->arrive_and_wait();
   const double s = t.seconds();
@@ -615,12 +671,12 @@ void ThreadedLtsSolver::eval_phase(rank_t r, level_t k) {
     }
   } else {
     // Private batched accumulation of this rank's share of E(k).
+    real_t* buf = acc_buffer(rd);
     for (gindex_t g : rd.private_rows[L])
       for (int c = 0; c < ncomp_; ++c)
-        rd.private_buf[static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c)] = 0.0;
+        buf[static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c)] = 0.0;
     const auto range = plan_->group_blocks(group_index(r, k));
-    op_->apply_add_blocks(*plan_, range.first, range.last, u_.get(), rd.private_buf.data(),
-                          *rd.workspace);
+    op_->apply_add_blocks(*plan_, range.first, range.last, u_.get(), buf, *rd.workspace);
   }
   {
     const double s = timer.seconds();
@@ -631,17 +687,20 @@ void ThreadedLtsSolver::eval_phase(rank_t r, level_t k) {
   sync(r, k); // all private contributions complete
 
   // Reduction (the "MPI exchange"): owners combine contributions, scale by
-  // Minv, and refresh the frozen-force accumulators.
+  // Minv, and refresh the frozen-force accumulators. Only the deepest level
+  // (and a single-level run) reads the fresh force back from scratch_; the
+  // coarser levels read cumulative_.
   const WallTimer timer2;
   const bool track_force = k < levels_->num_levels;
   auto fold = [&](gindex_t g, real_t contrib, int c) {
     const std::size_t i = static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c);
     const real_t fresh = inv_mass_[static_cast<std::size_t>(g)] * contrib;
-    scratch_[i] = fresh;
     if (track_force) {
       auto& fk = forces_[L];
       cumulative_[i] += fresh - fk[i];
       fk[i] = fresh;
+    } else {
+      scratch_[i] = fresh;
     }
   };
   if (steal) {
@@ -661,11 +720,10 @@ void ThreadedLtsSolver::eval_phase(rank_t r, level_t k) {
       }
     }
   } else {
-    for (const auto& [g, toucher] : rd.solo_rows[L]) {
-      const auto& pb = ranks_[static_cast<std::size_t>(toucher)].private_buf;
+    const real_t* buf = acc_buffer(rd);
+    for (const gindex_t g : rd.solo_rows[L])
       for (int c = 0; c < ncomp_; ++c)
-        fold(g, pb[static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c)], c);
-    }
+        fold(g, buf[static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c)], c);
     const auto& srows = rd.shared_rows[L];
     const auto& soffs = rd.shared_offsets[L];
     const auto& stch = rd.shared_touchers[L];
@@ -691,11 +749,10 @@ void ThreadedLtsSolver::eval_phase(rank_t r, level_t k) {
 
 void ThreadedLtsSolver::apply_rank_sources(const RankData& rd, level_t k, real_t t_src,
                                            core::SubstepCoeffs cs, real_t* vel) {
-  // Post-correction equivalent of the serial solver's "F += src_scratch":
-  // the updates are linear in F, so folding the source term in afterwards
-  // gives the same result up to a last-ulp reassociation. S is the serial
-  // src_scratch_ entry: -Minv f(t) so that v -= kick * F realizes
-  // v += kick * Minv f.
+  // Post-correction of an update that ran without sources: the updates are
+  // linear in F, so adding the source term S afterwards equals folding it
+  // into F up to a last-ulp reassociation. S = -Minv f(t), so that
+  // v -= kick * F realizes v += kick * Minv f.
   for (const auto& s : rd.sources[static_cast<std::size_t>(k - 1)]) {
     const real_t val = s.amplitude * s.wavelet(t_src);
     const real_t im = inv_mass_[static_cast<std::size_t>(s.node)];
@@ -746,8 +803,8 @@ void ThreadedLtsSolver::run_level(rank_t r, level_t k, real_t t0) {
               vt[i] -= cs.kick * F;
             u_[i] += cs.drift * vt[i];
           }
-        // Sources are sampled frozen at the cycle start (the serial scheme's
-        // midpoint rule; see LtsNewmarkSolver::collapsed_update).
+        // Sources are sampled frozen at the cycle start (the midpoint rule;
+        // see the file comment).
         double t_src = 0;
         if (has_sources) {
           const WallTimer src_timer;
@@ -826,82 +883,56 @@ void ThreadedLtsSolver::thread_main(rank_t r, int cycles) {
   const level_t nl = levels_->num_levels;
   auto& rd = ranks_[static_cast<std::size_t>(r)];
   const bool in = participates(r, 1);
-  const bool has_sources = in && nl >= 1 && !rd.sources[0].empty();
+  const bool has_sources = in && !rd.sources[0].empty();
+
+  // The force of the physical level-1 step on S(1): a single level's fresh
+  // evaluation, else the frozen sum of every level's force.
+  const real_t* force1 = nl > 1 ? cumulative_.data() : scratch_.get();
 
   for (int cyc = 0; cyc < cycles; ++cyc) {
     // Cycle start time from the integer cycle counter: identical however the
     // caller splits cycles over run_cycles calls. (The offset is nonzero only
     // after a checkpoint restore that changed dt — see adopt_raw_state.)
     const real_t t0 = time_offset_ + static_cast<real_t>(cycles_done_ + cyc) * dt_;
-    if (nl == 1) {
-      eval_phase(r, 1);
+    eval_phase(r, 1);
+    if (nl > 1) {
       if (in) {
         const WallTimer timer;
-        for (gindex_t g : rd.update_rows[0])
+        auto& save = usave_[0];
+        for (gindex_t g : rd.recon_rows[0])
           for (int c = 0; c < ncomp_; ++c) {
             const std::size_t i = static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c);
-            v_[i] -= dt_ * scratch_[i];
-            u_[i] += dt_ * v_[i];
+            save[i] = u_[i];
           }
-        // Single level: plain Newmark samples the source at the step start.
-        double t_src = 0, t_recv = 0;
-        if (has_sources) {
-          const WallTimer src_timer;
-          apply_rank_sources(rd, 1, t0, core::SubstepCoeffs{dt_, dt_}, v_.get());
-          t_src = src_timer.seconds();
-          tally(rd, slot_sources(), t_src);
-        }
-        if (!rd.receivers.empty()) {
-          const WallTimer recv_timer;
-          sample_receivers(rd, time_offset_ + static_cast<real_t>(cycles_done_ + cyc + 1) * dt_);
-          t_recv = recv_timer.seconds();
-          tally(rd, slot_receivers(), t_recv);
-        }
-        maybe_inject_fault(rd, r, cycles_done_ + cyc);
         const double s = timer.seconds();
         busy_[static_cast<std::size_t>(r)].fetch_add(s, std::memory_order_relaxed);
-        tally(rd, slot_update(), s - t_src - t_recv);
+        tally(rd, slot_update(), s);
       }
-      pool_->beat();
-      sync(r, 1);
-      continue;
-    }
+      sync(r, 1); // saves done before the child mutates u
 
-    eval_phase(r, 1);
-    if (in) {
-      const WallTimer timer;
-      auto& save = usave_[0];
-      for (gindex_t g : rd.recon_rows[0])
-        for (int c = 0; c < ncomp_; ++c) {
-          const std::size_t i = static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c);
-          save[i] = u_[i];
-        }
-      const double s = timer.seconds();
-      busy_[static_cast<std::size_t>(r)].fetch_add(s, std::memory_order_relaxed);
-      tally(rd, slot_update(), s);
+      run_level(r, 2, t0);
+      sync(r, 1); // child updates visible before reconstruction reads u
     }
-    sync(r, 1); // saves done before the child mutates u
-
-    run_level(r, 2, t0);
-    sync(r, 1); // child updates visible before reconstruction reads u
 
     if (in) {
       const WallTimer timer2;
-      const auto& save = usave_[0];
-      for (gindex_t g : rd.recon_rows[0])
-        for (int c = 0; c < ncomp_; ++c) {
-          const std::size_t i = static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c);
-          v_[i] += 2.0 * (u_[i] - save[i]) / dt_;
-          u_[i] = save[i] + dt_ * v_[i];
-        }
+      if (nl > 1) {
+        const auto& save = usave_[0];
+        for (gindex_t g : rd.recon_rows[0])
+          for (int c = 0; c < ncomp_; ++c) {
+            const std::size_t i = static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c);
+            v_[i] += 2.0 * (u_[i] - save[i]) / dt_;
+            u_[i] = save[i] + dt_ * v_[i];
+          }
+      }
       for (gindex_t g : rd.update_rows[0])
         for (int c = 0; c < ncomp_; ++c) {
           const std::size_t i = static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c);
-          v_[i] -= dt_ * cumulative_[i];
+          v_[i] -= dt_ * force1[i];
           u_[i] += dt_ * v_[i];
         }
-      // Level-1 rows take the cycle-frozen source exactly as the serial
-      // step() applies it to S(1) after the fine recursion.
+      // Level-1 rows take the cycle-frozen source in the physical leapfrog
+      // step of S(1), after the fine recursion.
       double t_src = 0, t_recv = 0;
       if (has_sources) {
         const WallTimer src_timer;
@@ -923,7 +954,7 @@ void ThreadedLtsSolver::thread_main(rank_t r, int cycles) {
       busy_[static_cast<std::size_t>(r)].fetch_add(s, std::memory_order_relaxed);
       tally(rd, slot_update(), s - t_src - t_recv);
     }
-    pool_->beat();
+    if (pool_) pool_->beat();
     sync(r, 1); // cycle boundary: all updates visible for the next cycle
   }
 }
@@ -970,8 +1001,11 @@ double ThreadedLtsSolver::run_cycles(int cycles) {
   if (cycles == 0) return 0.0;
   const WallTimer total;
   const auto parallel = [&](int n) {
-    pool_->run([this, n](int worker) { thread_main(static_cast<rank_t>(worker), n); },
-               cfg_.watchdog_seconds);
+    if (pool_)
+      pool_->run([this, n](int worker) { thread_main(static_cast<rank_t>(worker), n); },
+                 cfg_.watchdog_seconds);
+    else
+      thread_main(0, n);
     cycles_done_ += n;
   };
   // An armed throw-fault fires here, on the driving thread, at the addressed

@@ -1,14 +1,28 @@
 #pragma once
 
 /// \file threaded_lts.hpp
-/// Rank-parallel LTS-Newmark execution on shared memory: one persistent pool
-/// worker per partition, mirroring the paper's MPI structure (SPECFEM-style
-/// partial assembly + interface exchange).
+/// The production multi-level LTS-Newmark engine (paper Sec. II-C), executed
+/// rank-parallel on shared memory: one persistent pool worker per partition,
+/// mirroring the paper's MPI structure (SPECFEM-style partial assembly +
+/// interface exchange). A one-part partition runs the same recursion inline
+/// on the driving thread — no pool, no barriers — which is the "serial-lts"
+/// backend.
+///
+/// Per level k a rank touches only its share of:
+///   - E(k) elements for force evaluations (own + halo elements),
+///   - R(k+1) rows for the velocity reconstruction,
+///   - S(k) rows for the collapsed leapfrog update (rows whose forces are
+///     frozen during finer substeps evolve exactly as a single leapfrog step
+///     with that frozen force, so the fine recursion is skipped).
+/// Work per cycle is sum_k p_k |E(k)| element applies, matching the speedup
+/// model (Eq. 9) up to the halo overhead; core::LtsNewmarkReference is the
+/// independent full-vector transcription it is tested against.
 ///
 /// Each rank owns the elements its partition assigns; stiffness applications
-/// accumulate into rank-private buffers, and a reduction phase (the stand-in
-/// for MPI point-to-point exchange) combines interface contributions. Every
-/// global row is updated by exactly one owner rank.
+/// accumulate into rank-private buffers (a rank without peers accumulates
+/// straight into the shared scratch vector), and a reduction phase (the
+/// stand-in for MPI point-to-point exchange) combines interface
+/// contributions. Every global row is updated by exactly one owner rank.
 ///
 /// Stiffness evaluation runs on the element-block batched path: the solver
 /// builds one sem::BatchPlan whose groups are ordered (rank, level) — rank
@@ -37,12 +51,16 @@
 /// fixed (rank, chunk) order, so every mode — stealing included — is bitwise
 /// reproducible run to run.
 ///
-/// Scenario support mirrors the serial solvers: point sources are injected by
-/// the rank owning the source node's row, sampled frozen at the cycle start
-/// (the serial scheme's midpoint rule — see LtsNewmarkSolver::collapsed_update
-/// for why a cycle-constant source preserves second-order accuracy through the
-/// velocity reconstruction); receivers are sampled at every cycle boundary by
-/// their owning rank into per-receiver trace buffers the facade drains.
+/// Point sources are injected by the rank owning the source node's row,
+/// sampled frozen at the cycle start. The velocity reconstruction (Eq. 14)
+/// folds the inner evolution through a (dt - tau)-shaped kernel, so only an
+/// even-in-tau source term — one frozen over the cycle — preserves the
+/// scheme's second-order accuracy (this mirrors the time-reversibility
+/// requirement on Eq. 11). A constant source passes through every nested
+/// reconstruction exactly, which makes the whole cycle a midpoint rule in the
+/// source, exactly like the non-LTS Newmark step at Delta-t. Receivers are
+/// sampled at every cycle boundary by their owning rank into per-receiver
+/// trace buffers the facade drains.
 ///
 /// Busy/stall/steal counters accumulate across run_cycles calls (the pool and
 /// all solver state persist between calls) until reset_counters(). All
@@ -134,7 +152,7 @@ public:
   /// Registers a point source; the rank owning the source node's row injects
   /// it during that node's level-local updates. Must not be called while
   /// run_cycles is executing. Call before set_state so the staggered
-  /// initial velocity sees f(0), exactly as the serial solvers do.
+  /// initial velocity sees f(0), exactly as core::NewmarkSolver does.
   void add_source(const sem::PointSource& src);
 
   /// Registers a receiver sampled at every cycle boundary by the rank owning
@@ -154,8 +172,9 @@ public:
   /// Performance counters start at zero (the feedback pass consumed them).
   void adopt_state_from(const ThreadedLtsSolver& prev);
 
-  /// Runs `cycles` LTS cycles on the persistent worker team; returns wall
-  /// seconds. State (u, v, time, counters) carries over between calls.
+  /// Runs `cycles` LTS cycles on the persistent worker team — inline on the
+  /// calling thread for a one-part partition; returns wall seconds. State
+  /// (u, v, time, counters) carries over between calls.
   double run_cycles(int cycles);
 
   /// Read-only views of the shared global state. Spans, not vectors: the
@@ -206,8 +225,9 @@ public:
   /// Appends the per-phase accumulators, summed across ranks, onto `report`:
   /// "eval.L<k>" (per-level block kernel time), "reduce" (ownership
   /// reduction, the MPI-exchange stand-in), "update" (row updates +
-  /// reconstructions), "barrier" (level-barrier wait == stall_seconds), and
-  /// "sources"/"receivers" when any are registered. Call between run_cycles
+  /// reconstructions), "barrier" (level-barrier wait == stall_seconds; absent
+  /// on one rank, which never waits), and "sources"/"receivers" when any are
+  /// registered. Call between run_cycles
   /// invocations only (the accumulators are written by the pool workers).
   void fill_phases(perf::RunReport& report) const;
 
@@ -235,27 +255,59 @@ private:
     std::vector<real_t> acc;
   };
 
+  /// A rank's share of one LtsStructure row list, in the structure's order.
+  /// A rank that gets every row of the list (always so on one rank) views
+  /// the structure's vector instead of keeping a copy.
+  class RowList {
+  public:
+    void push_back(gindex_t g) { own_.push_back(g); }
+    /// Seals the list. `whole` is the structure list the rows were drawn
+    /// from in order, so an equal size means an equal list.
+    void finish(const std::vector<gindex_t>& whole) {
+      if (own_.size() != whole.size()) return;
+      own_ = std::vector<gindex_t>(); // releases the capacity, unlike clear()
+      whole_ = &whole;
+    }
+    [[nodiscard]] std::span<const gindex_t> rows() const noexcept {
+      return whole_ ? std::span<const gindex_t>(*whole_) : std::span<const gindex_t>(own_);
+    }
+    [[nodiscard]] auto begin() const noexcept { return rows().begin(); }
+    [[nodiscard]] auto end() const noexcept { return rows().end(); }
+    [[nodiscard]] std::size_t size() const noexcept { return rows().size(); }
+    [[nodiscard]] bool empty() const noexcept { return rows().empty(); }
+    [[nodiscard]] gindex_t operator[](std::size_t i) const { return rows()[i]; }
+
+  private:
+    std::vector<gindex_t> own_;
+    const std::vector<gindex_t>* whole_ = nullptr; ///< LtsStructure's list, when equal
+  };
+
   struct RankData {
     // Elements this rank evaluates per level (its share of E(k)).
     std::vector<std::vector<index_t>> eval_elems; // [level]
-    // Rows this rank's private buffer touches per level (zeroed before apply).
-    std::vector<std::vector<gindex_t>> private_rows; // [level]
+    // Rows this rank's accumulation buffer touches per level (zeroed before
+    // apply); a subset of eval_rows.
+    std::vector<RowList> private_rows; // [level]
     // Reduction work per level: rows this rank owns within rows(E(k)).
-    // solo rows have exactly one touching rank; shared rows carry a CSR list.
-    std::vector<std::vector<std::pair<gindex_t, rank_t>>> solo_rows; // [level] (row, toucher)
-    std::vector<std::vector<gindex_t>> shared_rows;                  // [level]
-    std::vector<std::vector<index_t>> shared_offsets;                // [level] CSR into touchers
-    std::vector<std::vector<rank_t>> shared_touchers;                // [level]
+    // solo rows have exactly one touching rank — this one, so the fold reads
+    // the rank's own buffer; shared rows carry a CSR list of touchers.
+    std::vector<RowList> solo_rows;                   // [level]
+    std::vector<std::vector<gindex_t>> shared_rows;   // [level]
+    std::vector<std::vector<index_t>> shared_offsets; // [level] CSR into touchers
+    std::vector<std::vector<rank_t>> shared_touchers; // [level]
     // All owned rows per level (solo ∪ shared), ascending — the steal-mode
-    // reduction walks these against the static chunk-contribution lists.
+    // reduction walks these against the static chunk-contribution lists
+    // (built in LevelAwareSteal only).
     std::vector<std::vector<gindex_t>> owned_rows; // [level]
     // Row-update sets owned by this rank.
-    std::vector<std::vector<gindex_t>> update_rows; // S(k) ∩ mine
-    std::vector<std::vector<gindex_t>> recon_rows;  // R(k+1) ∩ mine
-    std::vector<real_t> private_buf;                // ndof accumulation buffer
+    std::vector<RowList> update_rows; // S(k) ∩ mine
+    std::vector<RowList> recon_rows;  // R(k+1) ∩ mine
+    // ndof accumulation buffer; left empty on a rank without peers outside
+    // steal mode, which accumulates into scratch_ directly (acc_buffer).
+    std::vector<real_t> private_buf;
     std::unique_ptr<sem::KernelWorkspace> workspace;
     // Point sources injected by this rank, bucketed by the source node's
-    // updater level rho (mirrors LtsNewmarkSolver::sources_by_level_).
+    // updater level rho.
     std::vector<std::vector<sem::PointSource>> sources; // [level]
     // Indices into traces_ of the receivers this rank samples.
     std::vector<std::size_t> receivers;
@@ -283,6 +335,11 @@ private:
   void build_chunks();
   void build_steal_reduction();
   void first_touch_rank_buffers();
+  /// Where rank r's eval phase accumulates K P_k u: its private buffer, or
+  /// the shared scratch vector when it has no peers to reduce with.
+  [[nodiscard]] real_t* acc_buffer(RankData& rd) noexcept {
+    return rd.private_buf.empty() ? scratch_.get() : rd.private_buf.data();
+  }
   [[nodiscard]] std::size_t group_index(rank_t r, level_t k) const noexcept {
     return static_cast<std::size_t>(r) * static_cast<std::size_t>(levels_->num_levels) +
            static_cast<std::size_t>(k - 1);
@@ -318,9 +375,9 @@ private:
   void sync(rank_t r, level_t k);
   /// Folds this rank's level-k sources (sampled at t_src) into an update that
   /// already ran without them: vel (vt or v) and u are post-corrected by the
-  /// same linear terms the serial solver folds into F, using the substep's
-  /// own kick/drift coefficients (the physical level-1 step passes
-  /// {dt, dt} — the leapfrog form v -= dt * F).
+  /// linear terms a source adds to the force F, using the substep's own
+  /// kick/drift coefficients (the physical level-1 step passes {dt, dt} —
+  /// the leapfrog form v -= dt * F).
   void apply_rank_sources(const RankData& rd, level_t k, real_t t_src, core::SubstepCoeffs cs,
                           real_t* vel);
   void sample_receivers(const RankData& rd, real_t t);
@@ -367,7 +424,7 @@ private:
   // scan order; fixed so every mode stays bitwise deterministic).
   std::vector<std::vector<rank_t>> group_;
   std::vector<std::unique_ptr<std::barrier<>>> level_barriers_; // [level]
-  std::unique_ptr<ThreadPool> pool_;
+  std::unique_ptr<ThreadPool> pool_; // null for one rank (runs inline)
   // Per-rank wall-clock/steal tallies; single writer per slot (the owning
   // rank's worker), relaxed atomics — see the file comment for the contract.
   std::vector<std::atomic<double>> busy_;

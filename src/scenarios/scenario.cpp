@@ -72,7 +72,6 @@ core::SimulationConfig ScenarioSpec::config() const {
   cfg.order = order;
   cfg.physics = physics;
   cfg.courant = courant;
-  cfg.use_lts = use_lts;
   cfg.max_levels = max_levels;
   cfg.num_ranks = num_ranks;
   cfg.scheduler = scheduler;
@@ -120,11 +119,10 @@ std::unique_ptr<core::WaveSimulation> ScenarioSpec::make_simulation() const {
 }
 
 real_t run_duration(const ScenarioSpec& spec, const core::WaveSimulation& sim) {
-  // Branch on the sim's actual level layout, not the executor registry bit:
-  // the legacy lts=off shim can put a multi-level-capable backend on a
-  // single-level census, and the physical span must stay executor-independent
-  // (duration_cycles *coarse* LTS cycles) even then. A multi-level sim's own
-  // dt already is the coarse step; single-level layouts recover it with a
+  // Branch on the sim's actual level layout: the physical span must stay
+  // executor-independent (duration_cycles *coarse* LTS cycles). A
+  // multi-level sim's own dt already is the coarse step; single-level layouts
+  // (the newmark backend, or a mesh with one level) recover it with a
   // separate census.
   const bool coarse_is_dt = sim.levels().num_levels > 1;
   return (coarse_is_dt ? sim.dt() : spec.coarse_dt(sim.mesh())) * spec.duration_cycles;
@@ -175,7 +173,6 @@ void ScenarioSpec::apply_override(std::string_view key, std::string_view value) 
     order = cfg.order;
     physics = cfg.physics;
     courant = cfg.courant;
-    use_lts = cfg.use_lts;
     max_levels = cfg.max_levels;
     num_ranks = cfg.num_ranks;
     scheduler = cfg.scheduler;

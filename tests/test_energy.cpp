@@ -8,8 +8,8 @@
 
 #include "common/rng.hpp"
 #include "core/energy.hpp"
-#include "core/lts_newmark.hpp"
 #include "mesh/generators.hpp"
+#include "runtime/threaded_lts.hpp"
 
 namespace ltswave::core {
 namespace {
@@ -65,7 +65,9 @@ TEST(Energy, ElasticLtsConservesEnergyLongRun) {
   ASSERT_GE(lv.num_levels, 2);
   const auto st = build_lts_structure(space, lv);
 
-  LtsNewmarkSolver lts(op, lv, st);
+  const partition::Partition one_rank{
+      1, std::vector<rank_t>(static_cast<std::size_t>(m.num_elems()), 0)};
+  runtime::ThreadedLtsSolver lts(op, lv, st, one_rank); // the serial-lts engine
   const std::size_t ndof = static_cast<std::size_t>(space.num_global_nodes()) * 3;
   std::vector<real_t> u0(ndof);
   for (gindex_t g = 0; g < space.num_global_nodes(); ++g) {
@@ -78,8 +80,8 @@ TEST(Energy, ElasticLtsConservesEnergyLongRun) {
   std::vector<real_t> u_prev;
   real_t e0 = 0;
   for (int step = 0; step < 200; ++step) {
-    u_prev = lts.u();
-    lts.step();
+    u_prev.assign(lts.u().begin(), lts.u().end());
+    lts.run_cycles(1);
     const real_t e = staggered_energy(op, u_prev, lts.u(), lts.v_half());
     if (step == 0) e0 = e;
     ASSERT_GT(e, 0);

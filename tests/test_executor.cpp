@@ -2,9 +2,9 @@
 // backend must honor the full contract — set_state -> advance -> state parity
 // with the serial-LTS baseline, exact adopt_state_from hand-off (state,
 // clock, work counters, sources, receiver traces), source/receiver behavior,
-// counters shape — plus the facade-level guarantees: name resolution through
-// the deprecation shim, the per-cycle state-gather cache, and clear errors
-// for unknown backends. A new backend registered with ExecutorFactory is
+// counters shape — plus the facade-level guarantees: explicit name selection
+// (serial-lts is the one-rank LTS engine), the per-cycle state-gather cache,
+// and clear errors for unknown backends. A new backend registered with ExecutorFactory is
 // covered by this file with zero edits.
 
 #include <gtest/gtest.h>
@@ -205,20 +205,70 @@ TEST(ExecutorContract, CountersShapeMatchesBackendKind) {
     const Rig rig(name);
     auto exec = rig.create();
     const auto c = exec->counters();
-    if (exec->supports_feedback()) {
-      EXPECT_EQ(c.busy_seconds.size(), 4u) << name;
-      EXPECT_EQ(c.stall_seconds.size(), 4u) << name;
-      EXPECT_EQ(c.steal_counts.size(), 4u) << name;
-      EXPECT_NE(exec->threaded_solver(), nullptr) << name;
-      ASSERT_NE(exec->partition(), nullptr) << name;
-      EXPECT_EQ(exec->partition()->num_parts, 4) << name;
-    } else {
+    if (name == "newmark") {
+      // The rankless reference scheme: empty per-rank vectors, no partition.
       EXPECT_TRUE(c.empty()) << name;
       EXPECT_EQ(exec->threaded_solver(), nullptr) << name;
       EXPECT_EQ(exec->partition(), nullptr) << name;
+      EXPECT_FALSE(exec->supports_feedback()) << name;
+      EXPECT_THROW(exec->refine_from_feedback(), CheckFailure) << name;
+      continue;
+    }
+    // The LTS engine: one counter slot per rank — serial-lts is always one
+    // rank, whatever the config's rank count (4 here).
+    const std::size_t ranks = name == "serial-lts" ? 1 : 4;
+    EXPECT_EQ(c.busy_seconds.size(), ranks) << name;
+    EXPECT_EQ(c.stall_seconds.size(), ranks) << name;
+    EXPECT_EQ(c.steal_counts.size(), ranks) << name;
+    EXPECT_NE(exec->threaded_solver(), nullptr) << name;
+    ASSERT_NE(exec->partition(), nullptr) << name;
+    EXPECT_EQ(exec->partition()->num_parts, static_cast<rank_t>(ranks)) << name;
+    EXPECT_EQ(exec->supports_feedback(), ranks > 1) << name;
+    if (ranks == 1) {
       EXPECT_THROW(exec->refine_from_feedback(), CheckFailure) << name;
     }
   }
+}
+
+TEST(ExecutorContract, SerialLtsIsTheThreadedEngineOnOneRank) {
+  // serial-lts and threaded/level-aware at ranks=1 are the same engine on the
+  // same one-part layout, run inline: identical exported state, bit for bit.
+  Rig serial_rig("serial-lts");
+  Rig one_rig("threaded/level-aware");
+  one_rig.cfg.num_ranks = 1;
+  const auto u0 = serial_rig.gaussian_state();
+  const std::vector<real_t> v0(u0.size(), 0.0);
+  std::vector<ExecutorState> states;
+  for (const Rig* rig : {&serial_rig, &one_rig}) {
+    auto exec = rig->create();
+    exec->add_source(rig->source());
+    exec->set_state(u0, v0);
+    exec->advance_cycles(5);
+    ASSERT_NE(exec->threaded_solver(), nullptr);
+    EXPECT_EQ(exec->threaded_solver()->num_ranks(), 1);
+    states.push_back(exec->export_state());
+  }
+  EXPECT_TRUE(states[0] == states[1]);
+}
+
+TEST(ExecutorContract, SerialLtsReportsOneRankWithoutStall) {
+  const Rig rig("serial-lts");
+  auto exec = rig.create();
+  const auto u0 = rig.gaussian_state();
+  exec->set_state(u0, std::vector<real_t>(u0.size(), 0.0));
+  exec->advance_cycles(3);
+  const auto c = exec->counters();
+  ASSERT_EQ(c.busy_seconds.size(), 1u);
+  EXPECT_GT(c.busy_seconds[0], 0.0);
+  EXPECT_EQ(c.stall_seconds, std::vector<double>{0.0});
+  EXPECT_EQ(c.steal_counts, std::vector<std::int64_t>{0});
+  // Nobody to wait for: no barrier phase at all, and the kernel phases are
+  // there.
+  const auto report = exec->run_report();
+  EXPECT_EQ(report.executor, "serial-lts");
+  EXPECT_EQ(report.find_phase("barrier"), nullptr);
+  EXPECT_NE(report.find_phase("eval.L1"), nullptr);
+  EXPECT_EQ(report.cycles, 3);
 }
 
 TEST(ExecutorContract, StateGatherIsCachedPerCycleAndInvalidated) {
@@ -226,6 +276,7 @@ TEST(ExecutorContract, StateGatherIsCachedPerCycleAndInvalidated) {
   // per call — repeated polling between cycles returns the same buffer.
   SimulationConfig cfg;
   cfg.order = 2;
+  cfg.executor = "threaded/level-aware";
   cfg.num_ranks = 4;
   cfg.scheduler.oversubscribe = runtime::Oversubscribe::Warn;
   WaveSimulation sim(mesh::make_strip_mesh(12, 0.4, 4.0), cfg);
@@ -251,58 +302,50 @@ TEST(ExecutorContract, StateGatherIsCachedPerCycleAndInvalidated) {
   EXPECT_EQ(&sim.u(), &s2);
 }
 
-TEST(Facade, ResolvesExecutorNameThroughShimAndExplicitSelection) {
+TEST(Facade, SelectsExecutorByName) {
   const auto m = mesh::make_strip_mesh(12, 0.4, 4.0);
   {
+    // The default is the LTS engine on one rank.
     SimulationConfig cfg;
     cfg.order = 2;
     WaveSimulation sim(m, cfg);
     EXPECT_EQ(sim.executor_name(), "serial-lts");
-    EXPECT_EQ(sim.threaded(), nullptr);
+    ASSERT_NE(sim.threaded(), nullptr);
+    EXPECT_EQ(sim.threaded()->num_ranks(), 1);
+    EXPECT_EQ(sim.part().num_parts, 1);
   }
   {
     SimulationConfig cfg;
     cfg.order = 2;
-    cfg.use_lts = false;
+    cfg.executor = "newmark";
     WaveSimulation sim(m, cfg);
     EXPECT_EQ(sim.executor_name(), "newmark");
     EXPECT_EQ(sim.levels().num_levels, 1);
+    EXPECT_EQ(sim.threaded(), nullptr);
+    EXPECT_EQ(sim.part().num_parts, 0); // the reference scheme has no partition
   }
   {
     SimulationConfig cfg;
     cfg.order = 2;
+    cfg.executor = "threaded/level-aware+steal";
     cfg.num_ranks = 4;
-    cfg.scheduler.mode = runtime::SchedulerMode::LevelAwareSteal;
     cfg.scheduler.oversubscribe = runtime::Oversubscribe::Warn;
     WaveSimulation sim(m, cfg);
     EXPECT_EQ(sim.executor_name(), "threaded/level-aware+steal");
     ASSERT_NE(sim.threaded(), nullptr);
     EXPECT_EQ(sim.threaded()->mode(), runtime::SchedulerMode::LevelAwareSteal);
+    EXPECT_EQ(sim.threaded()->num_ranks(), 4);
   }
   {
-    // Legacy threaded-but-not-LTS combo: the shim must keep the old
-    // constructor's single-level (global dt_min) layout, not let the
-    // threaded backend's uses_lts_levels bit force a multi-level census.
-    SimulationConfig cfg;
-    cfg.order = 2;
-    cfg.use_lts = false;
-    cfg.num_ranks = 2;
-    cfg.scheduler.oversubscribe = runtime::Oversubscribe::Warn;
-    WaveSimulation sim(m, cfg);
-    EXPECT_EQ(sim.executor_name(), "threaded/level-aware");
-    ASSERT_NE(sim.threaded(), nullptr);
-    EXPECT_EQ(sim.levels().num_levels, 1);
-  }
-  {
-    // Explicit name wins over the legacy fields.
+    // serial-lts ignores the rank count (the Supervisor's fallback keeps the
+    // failed run's config).
     SimulationConfig cfg;
     cfg.order = 2;
     cfg.num_ranks = 4;
-    cfg.executor = "serial-lts";
     WaveSimulation sim(m, cfg);
     EXPECT_EQ(sim.executor_name(), "serial-lts");
-    EXPECT_EQ(sim.threaded(), nullptr);
-    EXPECT_EQ(sim.part().num_parts, 0); // serial backends carry no partition
+    ASSERT_NE(sim.threaded(), nullptr);
+    EXPECT_EQ(sim.threaded()->num_ranks(), 1);
   }
 }
 

@@ -184,8 +184,8 @@ TEST(Feedback, MidRunRepartitionKeepsParityWithSerial) {
   for (const runtime::SchedulerMode mode : runtime::kAllSchedulerModes) {
     core::SimulationConfig cfg;
     cfg.order = 2;
+    cfg.executor = "threaded/" + runtime::to_string(mode);
     cfg.num_ranks = 4;
-    cfg.scheduler.mode = mode;
     cfg.scheduler.oversubscribe = runtime::Oversubscribe::Warn;
     cfg.feedback_warmup_cycles = 3;
     core::WaveSimulation sim(m, cfg);

@@ -7,7 +7,7 @@
 // single-element path to the same 1e-12 bound for every order and physics,
 // masked and unmasked, with ragged tail blocks and both the full-plane and
 // compact-affine metric forms exercised. Plus an energy-conservation smoke
-// test driving LtsNewmarkSolver through the new production paths.
+// test driving the one-rank LTS engine through the new production paths.
 //
 // SIMD backend coverage: the block kernels run on the simd::Vec lane layer
 // while the single-element kernels stay scalar, so every batched-vs-single
@@ -26,8 +26,8 @@
 #include "common/rng.hpp"
 #include "core/energy.hpp"
 #include "core/lts_levels.hpp"
-#include "core/lts_newmark.hpp"
 #include "mesh/generators.hpp"
+#include "runtime/threaded_lts.hpp"
 #include "sem/batch_plan.hpp"
 #include "sem/wave_operator.hpp"
 
@@ -382,7 +382,9 @@ TEST(Kernels, EnergyConservedThroughSolverOnSpecializedPaths) {
   ASSERT_GE(levels.num_levels, 2);
   const auto st = core::build_lts_structure(space, levels);
   ASSERT_FALSE(st.mask.empty());
-  core::LtsNewmarkSolver solver(op, levels, st);
+  const partition::Partition one_rank{
+      1, std::vector<rank_t>(static_cast<std::size_t>(m.num_elems()), 0)};
+  runtime::ThreadedLtsSolver solver(op, levels, st, one_rank); // the serial-lts engine
 
   const std::size_t n = static_cast<std::size_t>(space.num_global_nodes());
   std::vector<real_t> u0(n);
@@ -396,8 +398,8 @@ TEST(Kernels, EnergyConservedThroughSolverOnSpecializedPaths) {
   std::vector<real_t> energies;
   std::vector<real_t> u_prev;
   for (int step = 0; step < 200; ++step) {
-    u_prev = solver.u();
-    solver.step();
+    u_prev.assign(solver.u().begin(), solver.u().end());
+    solver.run_cycles(1);
     energies.push_back(core::staggered_energy(op, u_prev, solver.u(), solver.v_half()));
     ASSERT_GT(energies.back(), 0);
   }

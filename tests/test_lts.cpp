@@ -1,6 +1,8 @@
-// LTS-Newmark tests — the heart of the reproduction:
+// LTS-Newmark tests — the heart of the reproduction, run on the production
+// engine (runtime::ThreadedLtsSolver) on one rank, i.e. the serial-lts
+// backend's solver:
 //  * single level == global Newmark exactly,
-//  * production solver == reference transcription of Algorithm 1 (to 1e-10)
+//  * production engine == reference transcription of Algorithm 1 (to 1e-10)
 //    across level counts, physics, and orders,
 //  * convergence of LTS to the fine-dt Newmark solution,
 //  * long-run energy conservation,
@@ -11,8 +13,8 @@
 #include <cmath>
 
 #include "core/energy.hpp"
-#include "core/lts_newmark.hpp"
 #include "mesh/generators.hpp"
+#include "runtime/threaded_lts.hpp"
 
 namespace ltswave::core {
 namespace {
@@ -23,6 +25,7 @@ struct Rig {
   std::unique_ptr<sem::WaveOperator> op;
   LevelAssignment levels;
   LtsStructure structure;
+  partition::Partition one_rank; ///< every element on rank 0
   std::size_t ndof = 0;
 
   Rig(mesh::HexMesh m, int order, bool elastic, real_t courant = 0.08)
@@ -35,6 +38,15 @@ struct Rig {
     levels = assign_levels(mesh, courant);
     structure = build_lts_structure(*space, levels);
     ndof = static_cast<std::size_t>(space->num_global_nodes()) * static_cast<std::size_t>(op->ncomp());
+    one_rank.num_parts = 1;
+    one_rank.part.assign(static_cast<std::size_t>(space->num_elems()), 0);
+  }
+
+  /// The production engine on one rank, over `lv` (default: the rig's own).
+  [[nodiscard]] std::unique_ptr<runtime::ThreadedLtsSolver> lts(
+      const LevelAssignment* lv = nullptr) const {
+    return std::make_unique<runtime::ThreadedLtsSolver>(*op, lv ? *lv : levels, structure,
+                                                        one_rank);
   }
 
   [[nodiscard]] std::vector<real_t> smooth_initial() const {
@@ -51,13 +63,13 @@ struct Rig {
   }
 };
 
-real_t max_abs_diff(const std::vector<real_t>& a, const std::vector<real_t>& b) {
+real_t max_abs_diff(std::span<const real_t> a, std::span<const real_t> b) {
   real_t d = 0;
   for (std::size_t i = 0; i < a.size(); ++i) d = std::max(d, std::abs(a[i] - b[i]));
   return d;
 }
 
-real_t max_abs(const std::vector<real_t>& a) {
+real_t max_abs(std::span<const real_t> a) {
   real_t d = 0;
   for (real_t v : a) d = std::max(d, std::abs(v));
   return d;
@@ -67,17 +79,17 @@ TEST(Lts, SingleLevelMatchesNewmarkExactly) {
   Rig s(mesh::make_uniform_box(3, 3, 3), 4, /*elastic=*/false);
   ASSERT_EQ(s.levels.num_levels, 1);
 
-  LtsNewmarkSolver lts(*s.op, s.levels, s.structure);
+  const auto lts = s.lts();
   NewmarkSolver newmark(*s.op, s.levels.dt);
   const auto u0 = s.smooth_initial();
   const std::vector<real_t> v0(s.ndof, 0.0);
-  lts.set_state(u0, v0);
+  lts->set_state(u0, v0);
   newmark.set_state(u0, v0);
   for (int step = 0; step < 20; ++step) {
-    lts.step();
+    lts->run_cycles(1);
     newmark.step();
   }
-  EXPECT_LT(max_abs_diff(lts.u(), newmark.u()), 1e-13);
+  EXPECT_LT(max_abs_diff(lts->u(), newmark.u()), 1e-13);
 }
 
 struct EquivCase {
@@ -96,19 +108,19 @@ TEST_P(LtsEquivalence, ProductionMatchesReference) {
   Rig s(mesh::make_strip_mesh(c.strip_n, c.fine_frac, c.squeeze), c.order, c.elastic);
   ASSERT_GE(s.levels.num_levels, 2) << "case must exercise multiple levels";
 
-  LtsNewmarkSolver prod(*s.op, s.levels, s.structure);
+  const auto prod = s.lts();
   LtsNewmarkReference ref(*s.op, s.levels, s.structure);
   const auto u0 = s.smooth_initial();
   const std::vector<real_t> v0(s.ndof, 0.0);
-  prod.set_state(u0, v0);
+  prod->set_state(u0, v0);
   ref.set_state(u0, v0);
 
   for (int step = 0; step < 10; ++step) {
-    prod.step();
+    prod->run_cycles(1);
     ref.step();
     const real_t scale = std::max(max_abs(ref.u()), real_t(1.0));
-    ASSERT_LT(max_abs_diff(prod.u(), ref.u()), 1e-10 * scale) << "step " << step;
-    ASSERT_LT(max_abs_diff(prod.v_half(), ref.v_half()), 1e-9 * scale) << "step " << step;
+    ASSERT_LT(max_abs_diff(prod->u(), ref.u()), 1e-10 * scale) << "step " << step;
+    ASSERT_LT(max_abs_diff(prod->v_half(), ref.v_half()), 1e-9 * scale) << "step " << step;
   }
 }
 
@@ -128,18 +140,16 @@ TEST(Lts, ThreeDimensionalMultiLevelMatchesReference) {
           3, /*elastic=*/false);
   ASSERT_GE(s.levels.num_levels, 2);
 
-  LtsNewmarkSolver prod(*s.op, s.levels, s.structure);
+  const auto prod = s.lts();
   LtsNewmarkReference ref(*s.op, s.levels, s.structure);
   const auto u0 = s.smooth_initial();
   const std::vector<real_t> v0(s.ndof, 0.0);
-  prod.set_state(u0, v0);
+  prod->set_state(u0, v0);
   ref.set_state(u0, v0);
-  for (int step = 0; step < 5; ++step) {
-    prod.step();
-    ref.step();
-  }
+  prod->run_cycles(5);
+  for (int step = 0; step < 5; ++step) ref.step();
   const real_t scale = std::max(max_abs(ref.u()), real_t(1.0));
-  EXPECT_LT(max_abs_diff(prod.u(), ref.u()), 1e-9 * scale);
+  EXPECT_LT(max_abs_diff(prod->u(), ref.u()), 1e-9 * scale);
 }
 
 TEST(Lts, ConvergesToFineNewmarkSolution) {
@@ -155,16 +165,16 @@ TEST(Lts, ConvergesToFineNewmarkSolution) {
   auto run = [&](real_t dt_scale) {
     LevelAssignment lv = s.levels;
     lv.dt *= dt_scale;
-    LtsNewmarkSolver lts(*s.op, lv, s.structure);
-    lts.set_state(u0, v0);
+    const auto lts = s.lts(&lv);
+    lts->set_state(u0, v0);
     // March to a fixed physical time.
     const real_t t_end = s.levels.dt * 8;
-    while (lts.time() < t_end - 1e-12) lts.step();
+    while (lts->time() < t_end - 1e-12) lts->run_cycles(1);
     // Fine-step Newmark reference at a much smaller step.
     NewmarkSolver fine(*s.op, lv.dt / 64);
     fine.set_state(u0, v0);
     while (fine.time() < t_end - 1e-12) fine.step();
-    return max_abs_diff(lts.u(), fine.u());
+    return max_abs_diff(lts->u(), fine.u());
   };
 
   const real_t e1 = run(1.0);
@@ -175,10 +185,10 @@ TEST(Lts, ConvergesToFineNewmarkSolution) {
 TEST(Lts, EnergyConservedOverLongRun) {
   Rig s(mesh::make_strip_mesh(16, 0.3, 4.0), 3, /*elastic=*/false);
   ASSERT_GE(s.levels.num_levels, 2);
-  LtsNewmarkSolver lts(*s.op, s.levels, s.structure);
+  const auto lts = s.lts();
   const auto u0 = s.smooth_initial();
   const std::vector<real_t> v0(s.ndof, 0.0);
-  lts.set_state(u0, v0);
+  lts->set_state(u0, v0);
 
   // LTS-Newmark conserves a modified discrete energy (paper Sec. II-B citing
   // [5]/[15]); the plain staggered energy therefore *fluctuates* within an
@@ -186,9 +196,9 @@ TEST(Lts, EnergyConservedOverLongRun) {
   std::vector<real_t> energies;
   std::vector<real_t> u_prev;
   for (int step = 0; step < 400; ++step) {
-    u_prev = lts.u();
-    lts.step();
-    energies.push_back(staggered_energy(*s.op, u_prev, lts.u(), lts.v_half()));
+    u_prev.assign(lts->u().begin(), lts->u().end());
+    lts->run_cycles(1);
+    energies.push_back(staggered_energy(*s.op, u_prev, lts->u(), lts->v_half()));
     ASSERT_GT(energies.back(), 0);
   }
   const real_t e0 = energies.front();
@@ -206,24 +216,32 @@ TEST(Lts, EnergyConservedOverLongRun) {
 TEST(Lts, WorkCountersMatchStructure) {
   Rig s(mesh::make_strip_mesh(24, 0.25, 8.0), 2, /*elastic=*/false);
   ASSERT_GE(s.levels.num_levels, 3);
-  LtsNewmarkSolver lts(*s.op, s.levels, s.structure);
+  const auto lts = s.lts();
   const auto u0 = s.smooth_initial();
   const std::vector<real_t> v0(s.ndof, 0.0);
-  lts.set_state(u0, v0);
-  const std::int64_t before = lts.element_applies(); // set_state does one full apply
+  lts->set_state(u0, v0);
+  EXPECT_EQ(lts->element_applies(), 0); // set_state's initial apply is not cycle work
   const int cycles = 7;
-  for (int i = 0; i < cycles; ++i) lts.step();
-  const std::int64_t per_cycle = (lts.element_applies() - before) / cycles;
+  for (int i = 0; i < cycles; ++i) lts->run_cycles(1);
+  const std::int64_t per_cycle = lts->element_applies() / cycles;
   EXPECT_EQ(per_cycle, s.structure.applies_per_cycle());
   // Halo overhead is bounded: actual <= 2x the ideal model for this mesh.
   EXPECT_GE(per_cycle, model_applies_per_cycle(s.levels));
   EXPECT_LE(per_cycle, 2 * model_applies_per_cycle(s.levels));
 
-  // Per-level counters: level k evaluated p_k times per cycle over |E(k)|.
+  // Per-level work: level k evaluated p_k times per cycle, each over the
+  // plan group holding all of E(k).
+  const auto report = lts->run_report();
   for (level_t k = 1; k <= s.levels.num_levels; ++k) {
-    const auto expected = static_cast<std::int64_t>(cycles) * level_rate(k) *
-                          static_cast<std::int64_t>(s.structure.eval_elems[static_cast<std::size_t>(k - 1)].size());
-    EXPECT_EQ(lts.applies_per_level()[static_cast<std::size_t>(k - 1)], expected) << "level " << k;
+    const auto* eval = report.find_phase("eval.L" + std::to_string(k));
+    ASSERT_NE(eval, nullptr) << "level " << k;
+    EXPECT_EQ(eval->count, static_cast<std::int64_t>(cycles) * level_rate(k)) << "level " << k;
+    std::int64_t elems = 0;
+    const auto range = lts->rank_level_blocks(0, k);
+    for (index_t b = range.first; b < range.last; ++b) elems += lts->plan().block_fill(b);
+    EXPECT_EQ(elems, static_cast<std::int64_t>(
+                         s.structure.eval_elems[static_cast<std::size_t>(k - 1)].size()))
+        << "level " << k;
   }
 }
 
@@ -252,11 +270,11 @@ TEST(Lts, SourceRunMatchesFineNewmark) {
   auto lts_error = [&](real_t dt_scale) {
     LevelAssignment lv = s.levels;
     lv.dt *= dt_scale;
-    LtsNewmarkSolver lts(*s.op, lv, s.structure);
-    lts.add_source(src);
-    lts.set_state(zero, zero);
-    while (lts.time() < t_end - 1e-12) lts.step();
-    return max_abs_diff(lts.u(), fine.u());
+    const auto lts = s.lts(&lv);
+    lts->add_source(src);
+    lts->set_state(zero, zero);
+    while (lts->time() < t_end - 1e-12) lts->run_cycles(1);
+    return max_abs_diff(lts->u(), fine.u());
   };
 
   const real_t e1 = lts_error(1.0);
@@ -266,36 +284,18 @@ TEST(Lts, SourceRunMatchesFineNewmark) {
   EXPECT_LT(e2, 0.45 * e1) << "e1=" << e1 << " e2=" << e2;
 }
 
-TEST(Lts, FixedNodesStayFixed) {
-  Rig s(mesh::make_strip_mesh(12, 0.4, 4.0), 2, /*elastic=*/false);
-  LtsNewmarkSolver lts(*s.op, s.levels, s.structure);
-  std::vector<gindex_t> fixed;
-  const auto bb = s.mesh.bounding_box();
-  for (gindex_t g = 0; g < s.space->num_global_nodes(); ++g)
-    if (s.space->node_coord(g)[0] < bb[0] + 1e-9) fixed.push_back(g);
-  ASSERT_FALSE(fixed.empty());
-  lts.set_fixed_nodes(fixed);
-
-  auto u0 = s.smooth_initial();
-  for (gindex_t g : fixed) u0[static_cast<std::size_t>(g)] = 0.0;
-  const std::vector<real_t> v0(s.ndof, 0.0);
-  lts.set_state(u0, v0);
-  for (int step = 0; step < 50; ++step) lts.step();
-  for (gindex_t g : fixed) EXPECT_EQ(lts.u()[static_cast<std::size_t>(g)], 0.0);
-}
-
 TEST(Lts, StableOverManyCycles) {
   // Stability at the assigned levels: no blow-up over a long run on a
   // 4-level mesh.
   Rig s(mesh::make_strip_mesh(32, 0.25, 8.0), 2, /*elastic=*/false);
   ASSERT_GE(s.levels.num_levels, 3);
-  LtsNewmarkSolver lts(*s.op, s.levels, s.structure);
+  const auto lts = s.lts();
   const auto u0 = s.smooth_initial();
   const std::vector<real_t> v0(s.ndof, 0.0);
-  lts.set_state(u0, v0);
+  lts->set_state(u0, v0);
   const real_t initial = max_abs(u0);
-  for (int step = 0; step < 1000; ++step) lts.step();
-  EXPECT_LT(max_abs(lts.u()), 10 * initial);
+  lts->run_cycles(1000);
+  EXPECT_LT(max_abs(lts->u()), 10 * initial);
 }
 
 } // namespace

@@ -3,17 +3,13 @@
 // per-region materials) and the to_string/parse round-trips for
 // SchedulerConfig and SimulationConfig — including parse_scheduler_mode
 // exhaustiveness over kAllSchedulerModes and clear error messages for bad
-// CLI spellings — plus the deprecation-shim proof that legacy
-// SimulationConfig{num_ranks, scheduler} call sites and the executor-name
-// API produce identical runs.
+// CLI spellings.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/executor.hpp"
-#include "mesh/generators.hpp"
 #include "scenarios/scenario.hpp"
 
 namespace ltswave::scenarios {
@@ -117,14 +113,13 @@ TEST(ScenarioSpec, MaterialRegionsPaintHeterogeneousMedia) {
 
 TEST(ScenarioSpec, CliOverridesApplyAndFailLoudly) {
   auto spec = get("strip");
-  const char* args[] = {"order=3",          "physics=elastic", "ranks=4",
-                        "scheduler=level-aware+steal", "oversubscribe=warn", "courant=0.2",
-                        "cycles=4",         "n=10",            "executor=threaded/barrier-all"};
+  const char* args[] = {"order=3",   "physics=elastic", "ranks=4",
+                        "oversubscribe=warn", "courant=0.2", "cycles=4",
+                        "n=10",      "executor=threaded/barrier-all"};
   spec.apply_cli(args);
   EXPECT_EQ(spec.order, 3);
   EXPECT_EQ(spec.physics, core::Physics::Elastic);
   EXPECT_EQ(spec.num_ranks, 4);
-  EXPECT_EQ(spec.scheduler.mode, runtime::SchedulerMode::LevelAwareSteal);
   EXPECT_EQ(spec.scheduler.oversubscribe, runtime::Oversubscribe::Warn);
   EXPECT_EQ(spec.courant, 0.2);
   EXPECT_EQ(spec.duration_cycles, 4);
@@ -133,12 +128,15 @@ TEST(ScenarioSpec, CliOverridesApplyAndFailLoudly) {
 
   EXPECT_THROW(spec.apply_override("ordre", "3"), CheckFailure);
   EXPECT_THROW(spec.apply_override("order", "three"), CheckFailure);
-  try {
-    spec.apply_override("scheduler", "level-unaware");
-    FAIL() << "expected CheckFailure";
-  } catch (const CheckFailure& e) {
-    // The error must teach the accepted spellings.
-    EXPECT_NE(std::string(e.what()).find("level-aware+steal"), std::string::npos);
+  // The retired selector keys are unknown now: `executor=` is the one
+  // backend selector, and the error must teach the accepted keys.
+  for (const char* retired : {"lts", "scheduler", "scheduler.mode"}) {
+    try {
+      spec.apply_override(retired, "on");
+      FAIL() << "expected CheckFailure for " << retired;
+    } catch (const CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find("executor"), std::string::npos) << retired;
+    }
   }
 }
 
@@ -203,12 +201,10 @@ TEST(ConfigRoundTrip, SimulationConfigToStringParsesBack) {
     cfg.order = 3;
     cfg.physics = core::Physics::Elastic;
     cfg.courant = 0.123456789012345; // must survive max_digits10 formatting
-    cfg.use_lts = false;
     cfg.max_levels = 7;
     cfg.num_ranks = 8;
     cfg.feedback_warmup_cycles = 5;
     cfg.executor = exec;
-    cfg.scheduler.mode = runtime::SchedulerMode::LevelAwareSteal;
     cfg.scheduler.oversubscribe = runtime::Oversubscribe::Warn;
     cfg.scheduler.chunk_elems = 32;
     grid.push_back(cfg);
@@ -234,58 +230,6 @@ TEST(ConfigRoundTrip, SimulationConfigToStringParsesBack) {
   // (ranks=2^32+1 silently becoming 1 would run serially without a word).
   EXPECT_THROW((void)core::parse_simulation_config("ranks=4294967297"), CheckFailure);
   EXPECT_THROW((void)core::parse_simulation_config("max-levels=4294967296"), CheckFailure);
-}
-
-// ---------------------------------------------------------------------------
-// Deprecation shim
-// ---------------------------------------------------------------------------
-
-TEST(DeprecationShim, LegacyFieldsAndExecutorNamesProduceIdenticalRuns) {
-  // Existing SimulationConfig{num_ranks, scheduler} call sites must keep
-  // compiling AND keep producing byte-identical physics to the new
-  // executor-name API — the shim is a pure renaming, not a reimplementation.
-  const auto m = mesh::make_strip_mesh(12, 0.4, 4.0);
-  auto gaussian = [](const core::WaveSimulation& sim) {
-    std::vector<real_t> u0(static_cast<std::size_t>(sim.space().num_global_nodes()), 0.0);
-    for (gindex_t g = 0; g < sim.space().num_global_nodes(); ++g) {
-      const auto x = sim.space().node_coord(g);
-      u0[static_cast<std::size_t>(g)] = std::exp(-25.0 * (x[0] - 0.25) * (x[0] - 0.25));
-    }
-    return u0;
-  };
-  auto drive = [&](const core::SimulationConfig& cfg) {
-    core::WaveSimulation sim(m, cfg);
-    const auto u0 = gaussian(sim);
-    sim.set_state(u0, std::vector<real_t>(u0.size(), 0.0));
-    sim.run(sim.dt() * 4);
-    return std::make_tuple(sim.executor_name(), sim.u(), sim.element_applies());
-  };
-
-  {
-    core::SimulationConfig legacy;
-    legacy.order = 2;
-    legacy.use_lts = false;
-    core::SimulationConfig modern = legacy;
-    modern.executor = "newmark";
-    EXPECT_EQ(drive(legacy), drive(modern));
-  }
-  {
-    core::SimulationConfig legacy;
-    legacy.order = 2;
-    core::SimulationConfig modern = legacy;
-    modern.executor = "serial-lts";
-    EXPECT_EQ(drive(legacy), drive(modern));
-  }
-  for (const runtime::SchedulerMode mode : runtime::kAllSchedulerModes) {
-    core::SimulationConfig legacy;
-    legacy.order = 2;
-    legacy.num_ranks = 4;
-    legacy.scheduler.mode = mode;
-    legacy.scheduler.oversubscribe = runtime::Oversubscribe::Warn;
-    core::SimulationConfig modern = legacy;
-    modern.executor = "threaded/" + runtime::to_string(mode);
-    EXPECT_EQ(drive(legacy), drive(modern)) << runtime::to_string(mode);
-  }
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 
 #include "core/simulation.hpp"
 #include "mesh/generators.hpp"
+#include "runtime/threaded_lts.hpp"
 
 namespace ltswave::core {
 namespace {
@@ -72,12 +73,15 @@ struct SourceRig {
     // comfortably under their tolerance.
     src.wavelet = sem::RickerWavelet(2.0 / (static_cast<real_t>(cycles) * levels.dt));
 
-    LtsNewmarkSolver lts(*op, levels, structure);
+    // The production engine on one rank — the serial-lts backend's solver.
+    const partition::Partition one_rank{
+        1, std::vector<rank_t>(static_cast<std::size_t>(space->num_elems()), 0)};
+    runtime::ThreadedLtsSolver lts(*op, levels, structure, one_rank);
     lts.add_source(src);
     const std::size_t ndof = static_cast<std::size_t>(space->num_global_nodes());
     const std::vector<real_t> zero(ndof, 0.0);
     lts.set_state(zero, zero);
-    for (int i = 0; i < cycles; ++i) lts.step();
+    lts.run_cycles(cycles);
 
     // Dense reference: every element at the finest substep, sources sampled
     // at every one of those fractional times.

@@ -1,7 +1,7 @@
 // Threaded rank-parallel executor tests: every scheduler mode must reproduce
-// the serial production solver's results for any rank count and level depth,
-// reuse its worker team across calls, and report sane busy/stall/steal
-// accounting.
+// the reference LTS transcription for any rank count — one rank running
+// inline — and level depth, reuse its worker team across calls, and report
+// sane busy/stall/steal accounting.
 
 #include <gtest/gtest.h>
 
@@ -64,6 +64,11 @@ struct Rig {
     cfg.num_parts = k;
     return partition::partition_mesh(mesh, levels.elem_level, levels.num_levels, cfg);
   }
+
+  /// Every element on rank 0: the serial-lts backend's layout.
+  [[nodiscard]] partition::Partition one_rank() const {
+    return {1, std::vector<rank_t>(static_cast<std::size_t>(mesh.num_elems()), 0)};
+  }
 };
 
 // The threaded solver exposes its first-touch-placed state as spans; copy to a
@@ -76,41 +81,41 @@ real_t max_abs_diff(std::span<const real_t> a, std::span<const real_t> b) {
   return d;
 }
 
-void expect_matches_serial(Rig& s, const partition::Partition& part, SchedulerMode mode,
-                           int cycles) {
+void expect_matches_reference(Rig& s, const partition::Partition& part, SchedulerMode mode,
+                              int cycles) {
   ThreadedLtsSolver threaded(*s.op, s.levels, s.structure, part, cfg_for(mode));
-  core::LtsNewmarkSolver serial(*s.op, s.levels, s.structure);
+  core::LtsNewmarkReference reference(*s.op, s.levels, s.structure);
 
   const auto u0 = s.initial();
   const std::vector<real_t> v0(s.ndof, 0.0);
   threaded.set_state(u0, v0);
-  serial.set_state(u0, v0);
+  reference.set_state(u0, v0);
 
   threaded.run_cycles(cycles);
-  for (int i = 0; i < cycles; ++i) serial.step();
+  for (int i = 0; i < cycles; ++i) reference.step();
 
-  EXPECT_LT(max_abs_diff(threaded.u(), serial.u()), 1e-11) << to_string(mode);
-  EXPECT_LT(max_abs_diff(threaded.v_half(), serial.v_half()), 1e-10) << to_string(mode);
-  EXPECT_NEAR(threaded.time(), serial.time(), 1e-12);
+  EXPECT_LT(max_abs_diff(threaded.u(), reference.u()), 1e-11) << to_string(mode);
+  EXPECT_LT(max_abs_diff(threaded.v_half(), reference.v_half()), 1e-10) << to_string(mode);
+  EXPECT_NEAR(threaded.time(), reference.time(), 1e-12);
 }
 
 class ThreadedModes
     : public testing::TestWithParam<std::tuple<SchedulerMode, rank_t>> {};
 
-TEST_P(ThreadedModes, MatchesSerialOnTwoLevelMesh) {
+TEST_P(ThreadedModes, MatchesReferenceOnTwoLevelMesh) {
   const auto [mode, k] = GetParam();
   Rig s(mesh::make_strip_mesh(16, 0.3, 2.0));
   ASSERT_EQ(s.levels.num_levels, 2);
   const auto part = s.make_partition(k);
-  expect_matches_serial(s, part, mode, 5);
+  expect_matches_reference(s, part, mode, 5);
 }
 
-TEST_P(ThreadedModes, MatchesSerialOnThreeLevelMesh) {
+TEST_P(ThreadedModes, MatchesReferenceOnThreeLevelMesh) {
   const auto [mode, k] = GetParam();
   Rig s(mesh::make_strip_mesh(16, 0.3, 4.0));
   ASSERT_GE(s.levels.num_levels, 3);
   const auto part = s.make_partition(k);
-  expect_matches_serial(s, part, mode, 5);
+  expect_matches_reference(s, part, mode, 5);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -124,13 +129,13 @@ INSTANTIATE_TEST_SUITE_P(
                  : "LevelAwareSteal" + std::to_string(std::get<1>(info.param));
     });
 
-TEST(Threaded, MatchesSerialOn3DElastic) {
+TEST(Threaded, MatchesReferenceOn3DElastic) {
   Rig s(mesh::make_embedding_mesh({.n = 5, .squeeze = 4.0, .radius = 0.45,
                                    .center = {0.5, 0.5, 0.5}, .mat = {}}),
         2, /*elastic=*/true);
   ASSERT_GE(s.levels.num_levels, 2);
   const auto part = s.make_partition(4);
-  for (const SchedulerMode mode : kAllSchedulerModes) expect_matches_serial(s, part, mode, 3);
+  for (const SchedulerMode mode : kAllSchedulerModes) expect_matches_reference(s, part, mode, 3);
 }
 
 TEST(Threaded, DeterministicAcrossRuns) {
@@ -212,7 +217,7 @@ TEST(Threaded, LevelParticipationExcludesCoarseOnlyRanks) {
   EXPECT_EQ(all.level_participants(2), 3);
 
   // The handmade imbalanced partition must still be bit-correct in all modes.
-  for (const SchedulerMode mode : kAllSchedulerModes) expect_matches_serial(s, part, mode, 4);
+  for (const SchedulerMode mode : kAllSchedulerModes) expect_matches_reference(s, part, mode, 4);
 }
 
 TEST(Threaded, CountersAccumulateUntilReset) {
@@ -273,24 +278,26 @@ sem::PointSource fine_source(const Rig& s) {
   return src;
 }
 
-TEST(Threaded, SourcesMatchSerialEveryModeAtFractionalTimes) {
+TEST(Threaded, SourcesMatchOneRankEveryModeAtFractionalTimes) {
   // Point sources through the runtime API: injected by the owning rank at
-  // the node's level-local updates, frozen at cycle start exactly like the
-  // serial scheme — every mode must match the serial solver from a zero
-  // state, where the source is the *only* energy in the system.
+  // the node's level-local updates, frozen at cycle start — every mode on
+  // four ranks must match the one-rank engine (checked against dense Newmark
+  // in test_sources_lts) from a zero state, where the source is the *only*
+  // energy in the system.
   Rig s(mesh::make_strip_mesh(16, 0.3, 4.0));
   ASSERT_GE(s.levels.num_levels, 3);
   const auto part = s.make_partition(4);
   const auto src = fine_source(s);
   ASSERT_EQ(s.structure.node_rho[static_cast<std::size_t>(src.node)], s.levels.num_levels);
 
-  core::LtsNewmarkSolver serial(*s.op, s.levels, s.structure);
-  serial.add_source(src);
+  const auto one = s.one_rank();
+  ThreadedLtsSolver baseline(*s.op, s.levels, s.structure, one);
+  baseline.add_source(src);
   const std::vector<real_t> zero(s.ndof, 0.0);
-  serial.set_state(zero, zero);
-  for (int i = 0; i < 6; ++i) serial.step();
+  baseline.set_state(zero, zero);
+  baseline.run_cycles(6);
   real_t umax = 0;
-  for (real_t v : serial.u()) umax = std::max(umax, std::abs(v));
+  for (real_t v : baseline.u()) umax = std::max(umax, std::abs(v));
   ASSERT_GT(umax, 0);
 
   for (const SchedulerMode mode : kAllSchedulerModes) {
@@ -298,9 +305,10 @@ TEST(Threaded, SourcesMatchSerialEveryModeAtFractionalTimes) {
     threaded.add_source(src); // before set_state: v^{-1/2} must see f(0)
     threaded.set_state(zero, zero);
     threaded.run_cycles(6);
-    EXPECT_LT(max_abs_diff(threaded.u(), serial.u()), 1e-11 * std::max<real_t>(1, umax))
+    EXPECT_LT(max_abs_diff(threaded.u(), baseline.u()), 1e-11 * std::max<real_t>(1, umax))
         << to_string(mode);
-    EXPECT_LT(max_abs_diff(threaded.v_half(), serial.v_half()), 1e-10 * std::max<real_t>(1, umax))
+    EXPECT_LT(max_abs_diff(threaded.v_half(), baseline.v_half()),
+              1e-10 * std::max<real_t>(1, umax))
         << to_string(mode);
   }
 }

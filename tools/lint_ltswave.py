@@ -69,7 +69,6 @@ DOUBLE_ALLOWLIST = {
     "src/common/rng.hpp": "uniform_real() utility for seeds/jitter, not field data",
     "src/common/rng.cpp": "uniform_real() implementation",
     "src/core/newmark.hpp": "per-phase wall-clock accumulators",
-    "src/core/lts_newmark.hpp": "per-phase wall-clock accumulators",
     "src/runtime/thread_pool.hpp": "watchdog timeout seconds",
     "src/runtime/thread_pool.cpp": "watchdog timeout seconds",
     "src/runtime/scheduler.hpp": "watchdog timeout config",
