@@ -1,24 +1,17 @@
 // SEM kernel microbenchmarks (google-benchmark): per-element cost of the
-// acoustic and elastic stiffness application by polynomial order, and the
-// cost of the column-masked (LTS) apply relative to the full apply — both the
-// legacy per-node-branch gather and the branch-free LevelMask plan. These
-// measurements anchor the cluster simulator's machine model (see
-// perf/calibrate.hpp).
+// acoustic and elastic stiffness application by polynomial order, the
+// conflict-free scatter coloring against plain strided blocks, and the
+// column-masked (LTS) block apply. These measurements anchor the cluster
+// simulator's machine model (see perf/calibrate.hpp).
 //
-// BM_AcousticApply / BM_ElasticApply measure the element-block *batched* path
-// (BatchPlan + block kernels) — the production default in every solver since
-// the batching refactor; the *Single variants keep the per-element kernels
-// for comparison, and BM_*BatchedVsSingle reports the measured speedup
-// directly (the recorded batched-vs-single delta in BENCH_kernels.json).
+// Every apply runs the element-block batched path (BatchPlan + block
+// kernels) — the only stiffness apply the operators provide.
 //
 // Each benchmark reports:
 //   elems/s        element applies per second,
-//   blocks/s       batched kernel calls per second (block benches only),
+//   blocks/s       batched kernel calls per second,
 //   flops          arithmetic throughput (flop/s). The flop model is
-//                  block-aware: it counts the same per-element flops on both
-//                  paths and never counts a batched block's padded tail
-//                  lanes, so batched and single-element FLOP/s compare
-//                  one-to-one,
+//                  block-aware: it never counts a block's padded tail lanes,
 //   bytes_per_elem main-memory bytes streamed per element apply (gather,
 //                  metric tensors, scatter; D and the workspace stay cached),
 //   ai             arithmetic intensity (flop/byte) of the kernel under the
@@ -26,7 +19,7 @@
 //
 // The flop/byte model is perf/roofline.hpp — the same accounting the executor
 // run reports and BENCH JSON emission use, so the microbench counters and the
-// solver-level roofline columns cannot drift apart. Batched benches take their
+// solver-level roofline columns cannot drift apart. The benches take their
 // bytes from perf::roofline_for_plan on the *actual* plan they run, so blocks
 // the plan classified affine are charged the compact separable metric, not the
 // full planes — the uniform box fixture is all-affine, and charging it full
@@ -35,7 +28,7 @@
 // Every BENCH_kernels.json carries the compiled SIMD backend in its context
 // ("simd_isa", "simd_width"), and BM_*ColoringDelta records the conflict-free
 // scatter coloring's measured effect against a Coloring::None plan of the same
-// group, so batched_speedup numbers from different builds (avx512 / avx2 /
+// group, so coloring_speedup numbers from different builds (avx512 / avx2 /
 // scalar CI job) are attributable to their backend.
 //
 // Unless --benchmark_out (or the shorthand --out=<path>) is given explicitly,
@@ -66,17 +59,11 @@ using namespace ltswave;
 
 namespace {
 
-double acoustic_flops_per_elem(int n) { return perf::flops_per_elem(1, n); }
-double elastic_flops_per_elem(int n) { return perf::flops_per_elem(3, n); }
-double acoustic_bytes_per_elem(int n) { return perf::bytes_per_elem_full(1, n); }
-double elastic_bytes_per_elem(int n) { return perf::bytes_per_elem_full(3, n); }
-
 // Block-aware counters: `nelems` is always the number of *real* elements
-// (padded tail lanes of a ragged block do arithmetic but are not counted), so
-// flops and elems/s stay comparable between the batched and single-element
-// paths. `nblocks` > 0 additionally reports batched kernel calls per second.
+// (padded tail lanes of a ragged block do arithmetic but are not counted);
+// `nblocks` reports batched kernel calls per second.
 void set_kernel_counters(benchmark::State& state, std::size_t nelems, double flops_per_elem,
-                         double bytes_per_elem, std::size_t nblocks = 0) {
+                         double bytes_per_elem, std::size_t nblocks) {
   state.counters["elems/s"] = benchmark::Counter(static_cast<double>(nelems),
                                                  benchmark::Counter::kIsIterationInvariantRate);
   state.counters["flops"] = benchmark::Counter(flops_per_elem * static_cast<double>(nelems),
@@ -84,12 +71,11 @@ void set_kernel_counters(benchmark::State& state, std::size_t nelems, double flo
   state.counters["bytes_per_elem"] = benchmark::Counter(bytes_per_elem);
   state.counters["ai"] =
       benchmark::Counter(bytes_per_elem > 0 ? flops_per_elem / bytes_per_elem : 0.0);
-  if (nblocks > 0)
-    state.counters["blocks/s"] = benchmark::Counter(static_cast<double>(nblocks),
-                                                    benchmark::Counter::kIsIterationInvariantRate);
+  state.counters["blocks/s"] = benchmark::Counter(static_cast<double>(nblocks),
+                                                  benchmark::Counter::kIsIterationInvariantRate);
 }
 
-// Plan-aware counters for the batched benches: flops and bytes come from the
+// Plan-aware counters: flops and bytes come from the
 // same roofline accounting the run reports use, evaluated on the plan that
 // actually executes (affine blocks are charged the compact metric form).
 void set_plan_counters(benchmark::State& state, const sem::BatchPlan& plan) {
@@ -109,9 +95,8 @@ struct KernelFixture {
     std::iota(all.begin(), all.end(), 0);
   }
 
-  /// Uniform single-level structure: every node level 1. The legacy gather
-  /// still tests node_level[g] per node; the LevelMask plan classifies every
-  /// element homogeneous and skips masking entirely.
+  /// Uniform single-level structure: every node level 1, so a level-1 plan
+  /// classifies every block homogeneous and skips masking entirely.
   [[nodiscard]] core::LtsStructure uniform_structure() const {
     core::LevelAssignment levels;
     levels.num_levels = 1;
@@ -123,12 +108,10 @@ struct KernelFixture {
 };
 
 // ---------------------------------------------------------------------------
-// Full applies: batched (production default) and single-element (reference)
+// Full applies: block iteration over the operator's full-mesh BatchPlan
 // ---------------------------------------------------------------------------
 
 void BM_AcousticApply(benchmark::State& state) {
-  // The batched production path: block iteration over the operator's
-  // full-mesh BatchPlan.
   KernelFixture f(static_cast<int>(state.range(0)));
   sem::AcousticOperator op(*f.space);
   auto ws = op.make_workspace();
@@ -142,23 +125,6 @@ void BM_AcousticApply(benchmark::State& state) {
   set_plan_counters(state, plan);
 }
 BENCHMARK(BM_AcousticApply)->Arg(2)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
-
-void BM_AcousticApplySingle(benchmark::State& state) {
-  // One element per kernel call — the pre-batching path, kept as reference.
-  KernelFixture f(static_cast<int>(state.range(0)));
-  sem::AcousticOperator op(*f.space);
-  auto ws = op.make_workspace();
-  std::vector<real_t> u(static_cast<std::size_t>(f.space->num_global_nodes()), 1.0);
-  std::vector<real_t> out(u.size(), 0.0);
-  for (auto _ : state) {
-    op.apply_add(f.all, u.data(), out.data(), ws);
-    benchmark::DoNotOptimize(out.data());
-  }
-  const int n1 = f.space->ref().nodes_1d();
-  set_kernel_counters(state, f.all.size(), acoustic_flops_per_elem(n1),
-                      acoustic_bytes_per_elem(n1));
-}
-BENCHMARK(BM_AcousticApplySingle)->Arg(2)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
 
 void BM_ElasticApply(benchmark::State& state) {
   KernelFixture f(static_cast<int>(state.range(0)));
@@ -174,76 +140,6 @@ void BM_ElasticApply(benchmark::State& state) {
   set_plan_counters(state, plan);
 }
 BENCHMARK(BM_ElasticApply)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_ElasticApplySingle(benchmark::State& state) {
-  KernelFixture f(static_cast<int>(state.range(0)));
-  sem::ElasticOperator op(*f.space);
-  auto ws = op.make_workspace();
-  std::vector<real_t> u(static_cast<std::size_t>(f.space->num_global_nodes()) * 3, 1.0);
-  std::vector<real_t> out(u.size(), 0.0);
-  for (auto _ : state) {
-    op.apply_add(f.all, u.data(), out.data(), ws);
-    benchmark::DoNotOptimize(out.data());
-  }
-  const int n1 = f.space->ref().nodes_1d();
-  set_kernel_counters(state, f.all.size(), elastic_flops_per_elem(n1),
-                      elastic_bytes_per_elem(n1));
-}
-BENCHMARK(BM_ElasticApplySingle)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_AcousticBatchedVsSingle(benchmark::State& state) {
-  // Measures both paths back-to-back and reports the speedup as a counter, so
-  // the batched-vs-single delta lands in BENCH_kernels.json as one number.
-  KernelFixture f(static_cast<int>(state.range(0)));
-  sem::AcousticOperator op(*f.space);
-  auto ws = op.make_workspace();
-  const sem::BatchPlan& plan = op.full_plan();
-  std::vector<real_t> u(static_cast<std::size_t>(f.space->num_global_nodes()), 1.0);
-  std::vector<real_t> out(u.size(), 0.0);
-  double t_single = 0, t_batched = 0;
-  for (auto _ : state) {
-    {
-      const WallTimer t;
-      op.apply_add(f.all, u.data(), out.data(), ws);
-      t_single += t.seconds();
-    }
-    {
-      const WallTimer t;
-      op.apply_add_blocks(plan, 0, plan.num_blocks(), u.data(), out.data(), ws);
-      t_batched += t.seconds();
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.counters["batched_speedup"] =
-      benchmark::Counter(t_batched > 0 ? t_single / t_batched : 0.0);
-}
-BENCHMARK(BM_AcousticBatchedVsSingle)->Arg(2)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
-
-void BM_ElasticBatchedVsSingle(benchmark::State& state) {
-  KernelFixture f(static_cast<int>(state.range(0)));
-  sem::ElasticOperator op(*f.space);
-  auto ws = op.make_workspace();
-  const sem::BatchPlan& plan = op.full_plan();
-  std::vector<real_t> u(static_cast<std::size_t>(f.space->num_global_nodes()) * 3, 1.0);
-  std::vector<real_t> out(u.size(), 0.0);
-  double t_single = 0, t_batched = 0;
-  for (auto _ : state) {
-    {
-      const WallTimer t;
-      op.apply_add(f.all, u.data(), out.data(), ws);
-      t_single += t.seconds();
-    }
-    {
-      const WallTimer t;
-      op.apply_add_blocks(plan, 0, plan.num_blocks(), u.data(), out.data(), ws);
-      t_batched += t.seconds();
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.counters["batched_speedup"] =
-      benchmark::Counter(t_batched > 0 ? t_single / t_batched : 0.0);
-}
-BENCHMARK(BM_ElasticBatchedVsSingle)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Scatter coloring on/off: same element group, Coloring::ConflictFree
@@ -302,45 +198,8 @@ void BM_ElasticColoringDelta(benchmark::State& state) {
 BENCHMARK(BM_ElasticColoringDelta)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Column-masked (LTS) applies: legacy per-node branch vs LevelMask plan
+// Column-masked (LTS) apply
 // ---------------------------------------------------------------------------
-
-void BM_MaskedApply(benchmark::State& state) {
-  // Legacy gather: branches on node_level[g] for every node of every element.
-  KernelFixture f(static_cast<int>(state.range(0)));
-  sem::AcousticOperator op(*f.space);
-  auto ws = op.make_workspace();
-  std::vector<level_t> node_level(static_cast<std::size_t>(f.space->num_global_nodes()), 1);
-  std::vector<real_t> u(node_level.size(), 1.0);
-  std::vector<real_t> out(u.size(), 0.0);
-  for (auto _ : state) {
-    op.apply_add_level(f.all, node_level.data(), 1, u.data(), out.data(), ws);
-    benchmark::DoNotOptimize(out.data());
-  }
-  const int n1 = f.space->ref().nodes_1d();
-  set_kernel_counters(state, f.all.size(), acoustic_flops_per_elem(n1),
-                      acoustic_bytes_per_elem(n1));
-}
-BENCHMARK(BM_MaskedApply)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_MaskedApplyPlan(benchmark::State& state) {
-  // Branch-free LevelMask gather on the same workload: homogeneous elements
-  // take the unmasked fast path, so this should match BM_AcousticApply.
-  KernelFixture f(static_cast<int>(state.range(0)));
-  sem::AcousticOperator op(*f.space);
-  auto ws = op.make_workspace();
-  const auto st = f.uniform_structure();
-  std::vector<real_t> u(static_cast<std::size_t>(f.space->num_global_nodes()), 1.0);
-  std::vector<real_t> out(u.size(), 0.0);
-  for (auto _ : state) {
-    op.apply_add_level(f.all, st.mask, 1, u.data(), out.data(), ws);
-    benchmark::DoNotOptimize(out.data());
-  }
-  const int n1 = f.space->ref().nodes_1d();
-  set_kernel_counters(state, f.all.size(), acoustic_flops_per_elem(n1),
-                      acoustic_bytes_per_elem(n1));
-}
-BENCHMARK(BM_MaskedApplyPlan)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_MaskedApplyBlocks(benchmark::State& state) {
   // The batched column-restricted apply: a level-1 BatchPlan group over the
@@ -366,40 +225,6 @@ void BM_MaskedApplyBlocks(benchmark::State& state) {
   set_plan_counters(state, plan);
 }
 BENCHMARK(BM_MaskedApplyBlocks)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_ElasticMaskedApply(benchmark::State& state) {
-  KernelFixture f(static_cast<int>(state.range(0)));
-  sem::ElasticOperator op(*f.space);
-  auto ws = op.make_workspace();
-  std::vector<level_t> node_level(static_cast<std::size_t>(f.space->num_global_nodes()), 1);
-  std::vector<real_t> u(node_level.size() * 3, 1.0);
-  std::vector<real_t> out(u.size(), 0.0);
-  for (auto _ : state) {
-    op.apply_add_level(f.all, node_level.data(), 1, u.data(), out.data(), ws);
-    benchmark::DoNotOptimize(out.data());
-  }
-  const int n1 = f.space->ref().nodes_1d();
-  set_kernel_counters(state, f.all.size(), elastic_flops_per_elem(n1),
-                      elastic_bytes_per_elem(n1));
-}
-BENCHMARK(BM_ElasticMaskedApply)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_ElasticMaskedApplyPlan(benchmark::State& state) {
-  KernelFixture f(static_cast<int>(state.range(0)));
-  sem::ElasticOperator op(*f.space);
-  auto ws = op.make_workspace();
-  const auto st = f.uniform_structure();
-  std::vector<real_t> u(static_cast<std::size_t>(f.space->num_global_nodes()) * 3, 1.0);
-  std::vector<real_t> out(u.size(), 0.0);
-  for (auto _ : state) {
-    op.apply_add_level(f.all, st.mask, 1, u.data(), out.data(), ws);
-    benchmark::DoNotOptimize(out.data());
-  }
-  const int n1 = f.space->ref().nodes_1d();
-  set_kernel_counters(state, f.all.size(), elastic_flops_per_elem(n1),
-                      elastic_bytes_per_elem(n1));
-}
-BENCHMARK(BM_ElasticMaskedApplyPlan)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_LtsCyclePerDof(benchmark::State& state) {
   // End-to-end: one LTS cycle on a 3-level strip, per-dof cost, on the
@@ -494,7 +319,7 @@ int main(int argc, char** argv) {
   int ac = static_cast<int>(args.size());
   benchmark::Initialize(&ac, args.data());
   // Tag the JSON (and the console header) with the compiled SIMD backend so
-  // per-backend batched_speedup / coloring_speedup numbers are attributable.
+  // per-backend coloring_speedup numbers are attributable.
   benchmark::AddCustomContext("simd_isa", std::string(simd::isa_name()));
   benchmark::AddCustomContext("simd_width", std::to_string(simd::kWidth));
   std::cout << "simd: " << simd::isa_name() << " width=" << simd::kWidth << "\n";

@@ -61,7 +61,8 @@ int main(int argc, char** argv) {
       const int n_receivers = 7;
       for (int i = 0; i < n_receivers; ++i) {
         const real_t x = 0.2 + 0.6 * static_cast<real_t>(i) / (n_receivers - 1);
-        spec.with_receiver({.location = {x, 0.5, 0.5}, .component = 2});
+        spec.with_receiver(
+            {.location = {x, 0.5, 0.5}, .component = scenarios::ReceiverSpec::kVertical});
       }
       spec.apply_cli(args);
     }

@@ -22,10 +22,16 @@ real_t cross_potential_energy(const sem::WaveOperator& op, std::span<const real_
                               std::span<const real_t> b) {
   LTS_CHECK(a.size() == b.size());
   std::vector<real_t> kb(b.size(), 0.0);
-  std::vector<index_t> all(static_cast<std::size_t>(op.space().num_elems()));
-  for (std::size_t e = 0; e < all.size(); ++e) all[e] = static_cast<index_t>(e);
-  auto ws = op.make_workspace();
-  op.apply_add(all, b.data(), kb.data(), ws);
+  {
+    // A diagnostic: build a full-mesh plan for this one apply and drop it,
+    // rather than pinning the operator's full_plan() beside a solver's own.
+    sem::BatchPlan::Group all;
+    all.elems.resize(static_cast<std::size_t>(op.space().num_elems()));
+    std::iota(all.elems.begin(), all.elems.end(), index_t{0});
+    const sem::BatchPlan plan(op.space(), op.ncomp(), {std::move(all)});
+    auto ws = op.make_workspace();
+    op.apply_add_blocks(plan, 0, plan.num_blocks(), b.data(), kb.data(), ws);
+  }
   real_t e = 0;
   for (std::size_t i = 0; i < a.size(); ++i) e += a[i] * kb[i];
   return 0.5 * e;

@@ -1,7 +1,5 @@
 #include "core/lts_levels.hpp"
 
-#include "sem/wave_operator.hpp"
-
 #include <algorithm>
 #include <cmath>
 
@@ -122,16 +120,6 @@ std::vector<level_t> compute_node_levels(const sem::SemSpace& space,
   return node_level;
 }
 
-void LtsStructure::apply_level_restricted(const sem::WaveOperator& op,
-                                          std::span<const index_t> elems, level_t k,
-                                          const real_t* u, real_t* out,
-                                          sem::KernelWorkspace& ws) const {
-  if (mask.empty())
-    op.apply_add_level(elems, node_level.data(), k, u, out, ws);
-  else
-    op.apply_add_level(elems, mask, k, u, out, ws);
-}
-
 std::int64_t LtsStructure::applies_per_cycle() const {
   std::int64_t sum = 0;
   for (level_t k = 1; k <= num_levels; ++k)
@@ -211,7 +199,6 @@ LtsStructure build_lts_structure(const sem::SemSpace& space, const LevelAssignme
     for (level_t k = 1; k < rho; ++k) s.recon_rows[static_cast<std::size_t>(k - 1)].push_back(g);
   }
 
-  s.mask = sem::LevelMask(space, s.node_level, nl);
   return s;
 }
 

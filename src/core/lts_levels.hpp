@@ -15,13 +15,7 @@
 #include <vector>
 
 #include "mesh/hex_mesh.hpp"
-#include "sem/kernels.hpp"
 #include "sem/sem_space.hpp"
-
-namespace ltswave::sem {
-class WaveOperator;
-class KernelWorkspace;
-} // namespace ltswave::sem
 
 namespace ltswave::core {
 
@@ -71,18 +65,6 @@ struct LtsStructure {
   std::vector<std::vector<gindex_t>> update_rows;
   /// recon_rows[k-1] = R(k+1): nodes with rho >= k+1 (empty for k == N).
   std::vector<std::vector<gindex_t>> recon_rows;
-
-  /// Precomputed branch-free column masks for the level-restricted apply
-  /// (homogeneous-element fast path + per-level 0/1 masks for mixed
-  /// elements); consumed by WaveOperator::apply_add_level(.., LevelMask, ..).
-  sem::LevelMask mask;
-
-  /// out += K P_k u over `elems`: dispatches to the branch-free LevelMask
-  /// gather when the mask is built (structures from build_lts_structure),
-  /// falling back to the per-node level test for hand-built structures.
-  void apply_level_restricted(const sem::WaveOperator& op, std::span<const index_t> elems,
-                              level_t k, const real_t* u, real_t* out,
-                              sem::KernelWorkspace& ws) const;
 
   /// Actual element applies per cycle: sum_k p_k * |E(k)| (includes halo).
   [[nodiscard]] std::int64_t applies_per_cycle() const;

@@ -4,15 +4,31 @@
 
 namespace ltswave::core {
 
+namespace {
+
+std::vector<sem::BatchPlan::Group> level_groups(const LtsStructure& structure) {
+  std::vector<sem::BatchPlan::Group> groups;
+  for (level_t k = 1; k <= structure.num_levels; ++k) {
+    sem::BatchPlan::Group g;
+    g.elems = structure.eval_elems[static_cast<std::size_t>(k - 1)];
+    g.level = k;
+    g.node_level = structure.node_level;
+    groups.push_back(std::move(g));
+  }
+  return groups;
+}
+
+} // namespace
+
 LtsNewmarkReference::LtsNewmarkReference(const sem::WaveOperator& op,
                                          const LevelAssignment& levels,
                                          const LtsStructure& structure, Integrator integ)
     : op_(&op),
       levels_(&levels),
-      structure_(&structure),
       integ_(integ),
       dt_(levels.dt),
       ncomp_(op.ncomp()),
+      plan_(op.space(), ncomp_, level_groups(structure)),
       ws_(op.make_workspace()) {
   const auto& space = op.space();
   const std::size_t ndof =
@@ -25,10 +41,10 @@ LtsNewmarkReference::LtsNewmarkReference(const sem::WaveOperator& op,
 void LtsNewmarkReference::set_state(std::span<const real_t> u0, std::span<const real_t> v0) {
   LTS_CHECK(u0.size() == u_.size() && v0.size() == v_.size());
   std::copy(u0.begin(), u0.end(), u_.begin());
-  std::vector<index_t> all(static_cast<std::size_t>(op_->space().num_elems()));
-  for (std::size_t e = 0; e < all.size(); ++e) all[e] = static_cast<index_t>(e);
+  // The level groups partition the columns (sum_k P_k = I), so all of them
+  // together apply K u.
   std::vector<real_t> ku(u_.size(), 0.0);
-  op_->apply_add(all, u_.data(), ku.data(), ws_);
+  op_->apply_add_blocks(plan_, 0, plan_.num_blocks(), u_.data(), ku.data(), ws_);
   const std::size_t nc = static_cast<std::size_t>(ncomp_);
   for (std::size_t g = 0; g < inv_mass_.size(); ++g) {
     const real_t im = inv_mass_[g];
@@ -39,8 +55,8 @@ void LtsNewmarkReference::set_state(std::span<const real_t> u0, std::span<const 
 
 std::vector<real_t> LtsNewmarkReference::apply_level(level_t k, const std::vector<real_t>& field) {
   std::vector<real_t> out(field.size(), 0.0);
-  structure_->apply_level_restricted(*op_, structure_->eval_elems[static_cast<std::size_t>(k - 1)],
-                                     k, field.data(), out.data(), ws_);
+  const auto blocks = plan_.group_blocks(static_cast<std::size_t>(k - 1));
+  op_->apply_add_blocks(plan_, blocks.first, blocks.last, field.data(), out.data(), ws_);
   const std::size_t nc = static_cast<std::size_t>(ncomp_);
   for (std::size_t g = 0; g < inv_mass_.size(); ++g) {
     const real_t im = inv_mass_[g];

@@ -13,7 +13,10 @@
 /// masking but updates *all* rows, exactly as the algebra is written. It uses
 /// O(levels) full vectors of memory and O(N_dof) work per substep, so it
 /// enjoys no LTS speedup. With a single level it reduces to the global
-/// Newmark scheme exactly.
+/// Newmark scheme exactly. Its stiffness applies run through its own
+/// BatchPlan with one level-k group over E(k) per level — the same block
+/// kernels as the engine (which the kernel tests check against a dense
+/// element reference), none of the engine's rank/row/recursion machinery.
 
 #include <vector>
 
@@ -44,13 +47,13 @@ private:
 
   const sem::WaveOperator* op_;
   const LevelAssignment* levels_;
-  const LtsStructure* structure_;
   Integrator integ_;
   real_t dt_;
   real_t time_ = 0;
   int ncomp_;
   std::vector<real_t> inv_mass_;
   std::vector<real_t> u_, v_;
+  sem::BatchPlan plan_; ///< group k-1 = level k over E(k)
   sem::KernelWorkspace ws_;
 };
 

@@ -1,7 +1,6 @@
 #include "perf/calibrate.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <vector>
 
 #include "common/timer.hpp"
@@ -10,19 +9,21 @@ namespace ltswave::perf {
 
 double measure_elem_apply_seconds(const sem::WaveOperator& op, int repetitions) {
   const auto& space = op.space();
-  std::vector<index_t> all(static_cast<std::size_t>(space.num_elems()));
-  std::iota(all.begin(), all.end(), 0);
+  const sem::BatchPlan& plan = op.full_plan();
   const std::size_t ndof =
       static_cast<std::size_t>(space.num_global_nodes()) * static_cast<std::size_t>(op.ncomp());
   std::vector<real_t> u(ndof, 1.0), out(ndof, 0.0);
   auto ws = op.make_workspace();
+  const auto apply = [&] {
+    op.apply_add_blocks(plan, 0, plan.num_blocks(), u.data(), out.data(), ws);
+  };
 
-  op.apply_add(all, u.data(), out.data(), ws); // warm-up
+  apply(); // warm-up
   std::vector<double> samples;
   for (int rep = 0; rep < repetitions; ++rep) {
     WallTimer t;
-    op.apply_add(all, u.data(), out.data(), ws);
-    samples.push_back(t.seconds() / static_cast<double>(all.size()));
+    apply();
+    samples.push_back(t.seconds() / static_cast<double>(space.num_elems()));
   }
   std::nth_element(samples.begin(), samples.begin() + static_cast<std::ptrdiff_t>(samples.size() / 2),
                    samples.end());

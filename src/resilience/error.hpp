@@ -15,6 +15,9 @@
 ///                         file:line context from the parser.
 ///  * CheckpointMismatch — a checkpoint file failed its magic/version/
 ///                         checksum/shape checks on load or restore.
+///  * InvalidConfig      — a scenario asks for something its physics cannot
+///                         provide (e.g. a receiver component out of range);
+///                         raised before any run starts, never retried.
 ///
 /// All of them derive from CheckFailure so the existing contract-boundary
 /// call sites (`catch (const CheckFailure&)`, `EXPECT_THROW(..,
@@ -54,6 +57,13 @@ public:
 
 /// A checkpoint failed its magic/version/checksum/shape validation.
 class CheckpointMismatch : public Error {
+public:
+  using Error::Error;
+};
+
+/// A scenario field is out of range for the chosen physics; the message
+/// names the field, its value and the physics.
+class InvalidConfig : public Error {
 public:
   using Error::Error;
 };

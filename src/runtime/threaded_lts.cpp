@@ -542,14 +542,12 @@ void ThreadedLtsSolver::set_state(std::span<const real_t> u0, std::span<const re
   LTS_CHECK(u0.size() == ndof_ && v0.size() == ndof_);
   std::copy(u0.begin(), u0.end(), u_.get());
   std::fill(scratch_.get(), scratch_.get() + ndof_, 0.0);
-  // One-shot initialization apply through the per-element path (the solver's
-  // own plan is level-restricted; building the operator's full-mesh plan for
-  // a single apply would duplicate every metric slab). The workspace is rank
-  // 0's block-sized one — sized once per (order, block width), not re-derived
-  // per set_state call.
-  std::vector<index_t> all(static_cast<std::size_t>(op_->space().num_elems()));
-  for (std::size_t e = 0; e < all.size(); ++e) all[e] = static_cast<index_t>(e);
-  op_->apply_add(all, u_.get(), scratch_.get(), *ranks_[0].workspace);
+  // K u through the solver's own plan: its (rank, level) groups cover E(k)
+  // per level with the level-k column mask, and sum_k P_k = I, so all of
+  // them together apply K u. The operator's full_plan() would pin a second
+  // full-mesh metric copy for this one apply. The workspace is rank 0's.
+  op_->apply_add_blocks(*plan_, 0, plan_->num_blocks(), u_.get(), scratch_.get(),
+                        *ranks_[0].workspace);
   const std::size_t nc = static_cast<std::size_t>(ncomp_);
   if (sources_.empty()) {
     for (std::size_t g = 0; g < inv_mass_.size(); ++g) {

@@ -9,6 +9,7 @@
 #include "core/executor.hpp"
 #include "core/lts_levels.hpp"
 #include "mesh/mesh_io.hpp"
+#include "resilience/error.hpp"
 
 namespace ltswave::scenarios {
 
@@ -89,20 +90,38 @@ real_t ScenarioSpec::coarse_dt(const mesh::HexMesh& m) const {
 }
 
 std::unique_ptr<core::WaveSimulation> ScenarioSpec::make_simulation() const {
+  // Field components per node — the displacement vector (vertical u_z = 2)
+  // for elastic, the scalar (0) for acoustic.
+  const bool elastic = physics == core::Physics::Elastic;
+  const int ncomp = elastic ? 3 : 1;
+  const int vertical = elastic ? 2 : 0;
+  const auto check_component = [&](const char* what, int component) {
+    if (component < 0 || component >= ncomp)
+      LTS_RAISE(resilience::InvalidConfig,
+                what << " component " << component << " is out of range for "
+                     << core::to_string(physics) << " physics (components 0.." << ncomp - 1
+                     << ")");
+    return component;
+  };
+  std::vector<int> receiver_components;
+  for (const auto& r : receivers)
+    receiver_components.push_back(r.component == ReceiverSpec::kVertical
+                                      ? vertical
+                                      : check_component("receiver", r.component));
+  for (const auto& b : initial) check_component("initial bump", b.component);
+
   auto sim = std::make_unique<core::WaveSimulation>(build_mesh(), config());
   // Sources before set_state: the staggered v^{-1/2} start must see f(0),
   // identically on every backend.
   for (const auto& s : sources)
     sim->add_source(s.location, s.peak_frequency, s.direction, s.amplitude);
-  for (const auto& r : receivers) sim->add_receiver(r.location, r.component);
+  for (std::size_t i = 0; i < receivers.size(); ++i)
+    sim->add_receiver(receivers[i].location, receiver_components[i]);
 
   const auto& space = sim->space();
   const std::size_t nc = static_cast<std::size_t>(sim->ncomp());
   std::vector<real_t> u0(static_cast<std::size_t>(space.num_global_nodes()) * nc, 0.0);
   for (const auto& b : initial) {
-    LTS_CHECK_MSG(b.component >= 0 && b.component < sim->ncomp(),
-                  "initial bump component " << b.component << " out of range for ncomp "
-                                            << sim->ncomp());
     for (gindex_t g = 0; g < space.num_global_nodes(); ++g) {
       const auto x = space.node_coord(g);
       real_t r2 = 0;
@@ -283,7 +302,8 @@ std::map<std::string, ScenarioSpec, std::less<>>& registry() {
           {.location = {0.5, 0.5, 0.45}, .peak_frequency = 3.0, .direction = {0, 0, 1}});
       for (int i = 0; i < 3; ++i)
         s.receivers.push_back(
-            {.location = {0.3 + 0.2 * static_cast<real_t>(i), 0.5, 0.5}, .component = 2});
+            {.location = {0.3 + 0.2 * static_cast<real_t>(i), 0.5, 0.5},
+             .component = ReceiverSpec::kVertical});
       put(std::move(s));
     }
     {

@@ -86,6 +86,10 @@ struct SourceSpec {
 };
 
 struct ReceiverSpec {
+  /// `component` value that make_simulation resolves against the physics to
+  /// the vertical field component: 2 (u_z) for elastic, 0 (the scalar) for
+  /// acoustic. Any other component must be in [0, ncomp) for the physics.
+  static constexpr int kVertical = -1;
   std::array<real_t, 3> location = {0.5, 0.5, 0.5};
   int component = 0;
   bool operator==(const ReceiverSpec&) const = default;
@@ -190,7 +194,9 @@ struct ScenarioSpec {
 
   /// Fully configured facade: mesh built, sources and receivers registered,
   /// initial state set. Heap-allocated because WaveSimulation pins internal
-  /// references and is intentionally immovable.
+  /// references and is intentionally immovable. Throws
+  /// resilience::InvalidConfig, before building anything, when a receiver or
+  /// initial-bump component is out of range for the physics.
   [[nodiscard]] std::unique_ptr<core::WaveSimulation> make_simulation() const;
 
   /// Applies one `key=value` override; throws CheckFailure listing the

@@ -1,6 +1,7 @@
 #include "sem/batch_plan.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <tuple>
@@ -12,11 +13,11 @@ namespace ltswave::sem {
 
 namespace {
 
-/// Ulp-scale tolerance of the affine-metric detection: a metric plane is
-/// separable when |value - w_q * C| stays within this relative band of the
-/// plane's magnitude. Elements that miss it (warped geometry, or merely
-/// unlucky rounding) take the full-plane path, so the test is purely a
-/// bandwidth optimization and never a correctness gate.
+/// Tolerance of the affine-element detection: an element is affine when the
+/// bilinear and trilinear coefficients of its trilinear map stay within this
+/// relative band of the linear ones. Elements that miss it (warped geometry,
+/// or merely unlucky rounding) take the full-plane path, so the test is
+/// purely a bandwidth optimization and never a correctness gate.
 constexpr real_t kAffineTol = 64 * std::numeric_limits<real_t>::epsilon();
 
 /// True when every node of element e carries exactly `level`.
@@ -27,36 +28,6 @@ bool elem_homogeneous_at(const SemSpace& space, index_t e, level_t level,
   for (int q = 0; q < npts; ++q)
     if (node_level[static_cast<std::size_t>(l2g[q])] != level) return false;
   return true;
-}
-
-/// Checks that plane[q] == w3[q] * C for C = plane[0] / w3[0] within
-/// kAffineTol * scale (C is what the affine kernel will reconstruct the plane
-/// from). `scale` is the magnitude of the whole metric tensor, not of this
-/// plane: an off-diagonal plane of an axis-aligned element is zero up to
-/// rounding junk, and that junk is "zero" relative to the element's metric.
-bool plane_separable(const real_t* plane, int stride, int npts, const real_t* w3,
-                     real_t scale) {
-  const real_t c = plane[0] / w3[0];
-  const real_t tol = kAffineTol * scale;
-  for (int q = 1; q < npts; ++q)
-    if (std::abs(plane[q * stride] - w3[q] * c) > tol) return false;
-  return true;
-}
-
-/// Checks that plane[q] is constant over the element (the affine Jinv).
-bool plane_constant(const real_t* plane, int stride, int npts, real_t scale) {
-  const real_t c = plane[0];
-  const real_t tol = kAffineTol * scale;
-  for (int q = 1; q < npts; ++q)
-    if (std::abs(plane[q * stride] - c) > tol) return false;
-  return true;
-}
-
-/// Largest |value| across `nplanes` interleaved planes of an element metric.
-real_t metric_scale(const real_t* data, int nplanes, int npts) {
-  real_t scale = 0;
-  for (int i = 0; i < nplanes * npts; ++i) scale = std::max(scale, std::abs(data[i]));
-  return std::max(scale, real_t{1e-300});
 }
 
 /// Bins `elems` into groups of at most `width` pairwise node-disjoint
@@ -136,28 +107,30 @@ std::vector<index_t> order_homogeneous_first(const SemSpace& space,
   return out;
 }
 
-bool BatchPlan::elem_affine(index_t e) const {
-  auto& cached = affine_cache_[static_cast<std::size_t>(e)];
-  if (cached != 0) return cached == 1;
-  const int npts = npts_;
-  bool affine = true;
-  if (ncomp_ == 1) {
-    const real_t* g = space_->gmat(e); // 6 SoA planes of npts
-    // Separability against w3 needs the weight scale divided out of the
-    // bound: g carries a factor w3[q], so compare at the constant's scale.
-    const real_t scale = metric_scale(g, 6, npts) / w3_[0];
-    for (int p = 0; p < 6 && affine; ++p)
-      affine = plane_separable(g + p * npts, 1, npts, w3_.data(), scale);
-  } else {
-    const real_t jscale = metric_scale(space_->jinv(e, 0), 9, npts);
-    const real_t wscale = metric_scale(space_->wjinv(e, 0), 9, npts) / w3_[0];
-    for (int p = 0; p < 9 && affine; ++p) {
-      affine = plane_constant(space_->jinv(e, 0) + p, 9, npts, jscale) &&
-               plane_separable(space_->wjinv(e, 0) + p, 9, npts, w3_.data(), wscale);
+bool BatchPlan::elem_affine(const SemSpace& space, index_t e) {
+  // Expand the trilinear map x(xi) = sum_c N_c(xi) x_c in the monomials
+  // xi^a eta^b zeta^c (a, b, c in {0, 1}); monomial bit 1 = xi, 2 = eta,
+  // 4 = zeta. Its coefficient (times 8) is sum_c s_c x_c with s_c the product
+  // of the corner's +-1 signs over the monomial's axes. The map — and with it
+  // every metric — is affine exactly when the bilinear and trilinear
+  // coefficients (monomials 3, 5, 6, 7) vanish.
+  const auto& m = space.mesh();
+  const index_t* c = m.corners(e);
+  real_t coef[8][3] = {};
+  for (int corner = 0; corner < 8; ++corner) {
+    const real_t* xc = m.node(c[corner]);
+    for (int mono = 1; mono < 8; ++mono) {
+      const real_t s = (std::popcount(static_cast<unsigned>(mono & ~corner)) % 2) ? -1.0 : 1.0;
+      for (int d = 0; d < 3; ++d) coef[mono][d] += s * xc[d];
     }
   }
-  cached = affine ? 1 : 2;
-  return affine;
+  real_t linear = 0, nonlinear = 0;
+  for (int mono = 1; mono < 8; ++mono)
+    for (int d = 0; d < 3; ++d) {
+      real_t& mag = std::has_single_bit(static_cast<unsigned>(mono)) ? linear : nonlinear;
+      mag = std::max(mag, std::abs(coef[mono][d]));
+    }
+  return nonlinear <= kAffineTol * linear;
 }
 
 BatchPlan::BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups, Fill fill,
@@ -170,7 +143,7 @@ BatchPlan::BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups
   LTS_CHECK_MSG(ncomp_ == 1 || ncomp_ == 3, "BatchPlan ncomp must be 1 (acoustic) or 3 (elastic)");
 
   // The separable factor of the compact affine metric: the same 3D quadrature
-  // weight product build_geometry folded into the stored metrics.
+  // weight product SemSpace::element_metrics folds into gmat and wjinv.
   const auto& w1 = space.ref().weights();
   const int n1 = space.ref().nodes_1d();
   w3_.resize(static_cast<std::size_t>(npts_));
@@ -180,7 +153,6 @@ BatchPlan::BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups
         w3_[static_cast<std::size_t>((k * n1 + j) * n1 + i)] =
             w1[static_cast<std::size_t>(i)] * w1[static_cast<std::size_t>(j)] *
             w1[static_cast<std::size_t>(k)];
-  affine_cache_.assign(static_cast<std::size_t>(space.num_elems()), 0);
 
   // Metric words per block: compact lane constants for affine blocks, full
   // lane-interleaved planes otherwise.
@@ -209,7 +181,7 @@ BatchPlan::BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups
     }
     blk.affine = true;
     for (int l = 0; l < blk.fill && blk.affine; ++l)
-      blk.affine = elem_affine(belems[static_cast<std::size_t>(l)]);
+      blk.affine = elem_affine(*space_, belems[static_cast<std::size_t>(l)]);
     blk.metric_off = metric_count_;
     metric_count_ += blk.affine ? compact_words : full_words;
     for (int l = 0; l < width_; ++l)
@@ -270,6 +242,10 @@ void BatchPlan::fill(index_t b0, index_t b1) {
   const int W = width_;
   const int npts = npts_;
   const std::size_t slab = slab_size();
+  // Per-lane metric scratch: evaluated from the mesh geometry, copied into
+  // the slabs, dropped. Affine blocks need only the first point — all their
+  // compact constants derive from it.
+  std::vector<SemSpace::PointMetrics> pts(static_cast<std::size_t>(npts));
 
   for (index_t b = b0; b < b1; ++b) {
     const Block& blk = blocks_[static_cast<std::size_t>(b)];
@@ -296,50 +272,39 @@ void BatchPlan::fill(index_t b0, index_t b1) {
     }
 
     real_t* mt = metric_.get() + blk.metric_off;
-    if (ncomp_ == 1) {
+    const std::span<SemSpace::PointMetrics> lane_pts(pts.data(), blk.affine ? 1u : pts.size());
+    for (int l = 0; l < W; ++l) {
+      // Padded lanes replicate the last real element: reuse its metrics.
+      if (l == 0 || elems[l] != elems[l - 1]) sp.element_metrics(elems[l], lane_pts);
       if (blk.affine) {
-        // Compact: 6 lane-constant rows, C_p[l] = G_p(q0) / w3[q0].
-        for (int l = 0; l < W; ++l) {
-          const real_t* src = sp.gmat(elems[l]);
-          for (int p = 0; p < 6; ++p) mt[p * W + l] = src[p * npts] / w3_[0];
-        }
-      } else {
-        // Transpose each element's 6 SoA metric planes into lane-interleaved
-        // block planes: plane p of the block at [p][q*W + l].
-        for (int l = 0; l < W; ++l) {
-          const real_t* src = sp.gmat(elems[l]); // 6 planes of npts
-          for (int p = 0; p < 6; ++p)
-            for (int q = 0; q < npts; ++q)
-              mt[static_cast<std::size_t>(p) * slab + static_cast<std::size_t>(q * W + l)] =
-                  src[p * npts + q];
-        }
-      }
-    } else {
-      if (blk.affine) {
-        // Compact: Jinv constants then wdet*Jinv separable constants.
-        for (int l = 0; l < W; ++l) {
-          const real_t* jsrc = sp.jinv(elems[l], 0);
-          const real_t* wsrc = sp.wjinv(elems[l], 0);
+        // Compact lane constants from the first point: the acoustic
+        // C_p = G_p(q0) / w3[q0]; the elastic Jinv and wdet*Jinv / w3[q0].
+        const SemSpace::PointMetrics& p0 = pts[0];
+        if (ncomp_ == 1) {
+          for (int p = 0; p < 6; ++p) mt[p * W + l] = p0.gmat[p] / w3_[0];
+        } else {
           for (int p = 0; p < 9; ++p) {
-            mt[p * W + l] = jsrc[p];
-            mt[(9 + p) * W + l] = wsrc[p] / w3_[0];
+            mt[p * W + l] = p0.jinv[p];
+            mt[(9 + p) * W + l] = p0.wjinv[p] / w3_[0];
           }
         }
+      } else if (ncomp_ == 1) {
+        // Six lane-interleaved planes: plane p of the block at [p][q*W + l].
+        for (int p = 0; p < 6; ++p)
+          for (int q = 0; q < npts; ++q)
+            mt[static_cast<std::size_t>(p) * slab + static_cast<std::size_t>(q * W + l)] =
+                pts[static_cast<std::size_t>(q)].gmat[p];
       } else {
-        // jinv/wjinv are stored per point as row-major 3x3 in the space; the
-        // block slabs hold them as 9 lane-interleaved planes each.
+        // Jinv then wdet*Jinv, each as 9 lane-interleaved planes.
         real_t* ji = mt;
         real_t* wj = mt + slab * 9;
-        for (int l = 0; l < W; ++l) {
-          for (int q = 0; q < npts; ++q) {
-            const real_t* jsrc = sp.jinv(elems[l], q);
-            const real_t* wsrc = sp.wjinv(elems[l], q);
-            for (int p = 0; p < 9; ++p) {
-              ji[static_cast<std::size_t>(p) * slab + static_cast<std::size_t>(q * W + l)] =
-                  jsrc[p];
-              wj[static_cast<std::size_t>(p) * slab + static_cast<std::size_t>(q * W + l)] =
-                  wsrc[p];
-            }
+        for (int q = 0; q < npts; ++q) {
+          const SemSpace::PointMetrics& pq = pts[static_cast<std::size_t>(q)];
+          for (int p = 0; p < 9; ++p) {
+            ji[static_cast<std::size_t>(p) * slab + static_cast<std::size_t>(q * W + l)] =
+                pq.jinv[p];
+            wj[static_cast<std::size_t>(p) * slab + static_cast<std::size_t>(q * W + l)] =
+                pq.wjinv[p];
           }
         }
       }

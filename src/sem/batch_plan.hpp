@@ -3,32 +3,33 @@
 /// \file batch_plan.hpp
 /// Element-block batched execution plan for the SEM kernel engine.
 ///
-/// The per-element apply (kernels.hpp) leaves two costs on the table that the
-/// LTS hot loop pays millions of times: one indirect kernel dispatch per
-/// element, and inner loops whose trip count is the 1D node count n1 = 2..9 —
-/// far below the machine's vector width. A BatchPlan removes both by grouping
-/// elements into fixed-width blocks of W lanes (W = 8..32, order-dependent,
-/// kernels::block_width_for) and storing every per-point input
-/// *lane-interleaved*: entry (q, l) of a block slab lives at [q*W + l], so
-/// every kernel loop carries a unit-stride innermost lane dimension of
-/// compile-time width. One kernel call then advances W elements, and the
-/// tensor contractions vectorize across elements instead of across the short
-/// n1 axis.
+/// Applying the stiffness one element at a time would leave two costs on
+/// the table that the LTS hot loop pays millions of times: one indirect kernel
+/// dispatch per element, and inner loops whose trip count is the 1D node
+/// count n1 = 2..9 — far below the machine's vector width. A BatchPlan
+/// removes both by grouping elements into fixed-width blocks of W lanes
+/// (W = 8..32, order-dependent, kernels::block_width_for) and storing every
+/// per-point input *lane-interleaved*: entry (q, l) of a block slab lives at
+/// [q*W + l], so every kernel loop carries a unit-stride innermost lane
+/// dimension of compile-time width. One kernel call then advances W
+/// elements, and the tensor contractions vectorize across elements instead of
+/// across the short n1 axis.
 ///
 /// A plan is an ordered list of *groups*, each a caller-supplied element
 /// sequence chunked into blocks (blocks may be ragged: padded lanes replicate
 /// the last real element's gather indices and are never scattered). Groups
-/// carry an optional LTS level: level-k groups bake the
-/// branch-free column mask per block — blocks whose elements are all
-/// node-homogeneous at level k (the interior bulk, which (rank, level)
-/// ordering makes the common case) carry no mask at all and take the plain
-/// gather, mixed blocks carry one interleaved 0/1 mask slab. This is the
-/// per-block form of sem::LevelMask; the per-element LevelMask remains as the
-/// single-element cross-check path.
+/// carry an optional LTS level: level-k groups bake the branch-free column
+/// mask per block — blocks whose elements are all node-homogeneous at level
+/// k (the interior bulk, which (rank, level) ordering makes the common case)
+/// carry no mask at all and take the plain gather, mixed blocks carry one
+/// interleaved 0/1 mask slab.
 ///
 /// Per block the plan stores contiguous, 64-byte-aligned slabs of everything
 /// the kernel streams: gather indices, the fused acoustic metric G (6 planes)
 /// or the elastic Jinv / wdet*Jinv planes (9 + 9), and the optional mask.
+/// The plan slabs are the only resident copy of the element metrics: fill()
+/// evaluates each lane's metrics from the mesh geometry
+/// (SemSpace::element_metrics), copies them into the slab and drops them.
 ///
 /// Blocks whose elements are all *affine* (parallelepiped geometry — the bulk
 /// of generated paper meshes) store the metric in compact separable form
@@ -36,10 +37,12 @@
 /// G(q) = w_q * C with one constant 6-tuple (respectively 9+9 for elastic)
 /// per element, so the kernel streams 6*W constants instead of 6*W*npts plane
 /// values — the apply's main-memory traffic collapses to the field gather and
-/// scatter. Affinity is detected numerically against the stored metrics with
-/// an ulp-level tolerance and falls back to full slabs, so the compact path
-/// is a pure bandwidth optimization (metric values agree to ~1e-14 relative,
-/// far inside every cross-path test tolerance).
+/// scatter, and the fill evaluates only the first quadrature point. Affinity
+/// is a corner test on the trilinear map (its bilinear and trilinear
+/// coefficients must vanish to an ulp-level tolerance); elements that miss
+/// it fall back to full slabs, so the compact path is a pure bandwidth
+/// optimization (metric values agree to ~1e-14 relative, far inside every
+/// cross-path test tolerance).
 ///
 /// By default (Coloring::ConflictFree) the chunking is *conflict-free*: each
 /// group's elements are binned by first-fit over the element node-sharing
@@ -170,6 +173,11 @@ public:
   [[nodiscard]] bool block_affine(index_t b) const noexcept {
     return blocks_[static_cast<std::size_t>(b)].affine;
   }
+  /// Corner test on element e's trilinear map: true when its bilinear and
+  /// trilinear coefficients are at most kAffineTol (64 ulp) times the linear
+  /// ones, i.e. the element is a parallelepiped and every metric is constant
+  /// up to the w_q factor. Blocks of such elements take the compact metric.
+  [[nodiscard]] static bool elem_affine(const SemSpace& space, index_t e);
   /// 3D quadrature weights w_q (npts values) — the separable factor of the
   /// compact affine metric.
   [[nodiscard]] const real_t* weights3() const noexcept { return w3_.data(); }
@@ -204,7 +212,8 @@ public:
     return jinv_affine(b) + static_cast<std::size_t>(width_) * 9;
   }
 
-  /// Copies gather/metric/mask data into the slabs of blocks [b0, b1). With
+  /// Writes gather/metric/mask data into the slabs of blocks [b0, b1),
+  /// evaluating each lane's metrics from the mesh geometry. With
   /// Fill::Deferred the owning thread calls this exactly once per block; the
   /// write is the first touch of those pages.
   void fill(index_t b0, index_t b1);
@@ -229,7 +238,6 @@ private:
   [[nodiscard]] std::size_t slab_offset(index_t b) const noexcept {
     return static_cast<std::size_t>(b) * slab_size();
   }
-  [[nodiscard]] bool elem_affine(index_t e) const;
 
   const SemSpace* space_;
   int ncomp_;
@@ -265,8 +273,7 @@ private:
   Arena<real_t> metric_;
   std::size_t mask_count_ = 0;
   std::size_t metric_count_ = 0;
-  std::vector<real_t> w3_;                  ///< 3D quadrature weights, npts
-  mutable std::vector<std::uint8_t> affine_cache_; ///< 0 unknown, 1 yes, 2 no
+  std::vector<real_t> w3_; ///< 3D quadrature weights, npts
 };
 
 /// Returns a copy of `elems` with the elements that are node-homogeneous at

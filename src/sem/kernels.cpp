@@ -8,191 +8,11 @@ namespace kernels {
 
 namespace {
 
-/// All kernels below are templated on the compile-time 1D node count N1;
-/// N1 == 0 selects the runtime-n1 generic path from the *same* source, so the
-/// specializations and the fallback cannot drift apart. Loops are arranged so
-/// the innermost index always walks a contiguous buffer with a broadcast
-/// scalar factor — the pattern the autovectorizer handles best for the small
-/// row lengths (n1 = 2..9) that SEM orders produce.
-
-/// d/dxi contractions: for data f on the (n1)^3 tensor grid computes
-/// g1 = D f (x-direction), g2, g3 likewise. D is row-major n1 x n1, Dt its
-/// transpose (used so the x-direction output index stays contiguous).
-template <int N1>
-inline void tensor_gradient(int n1_rt, const real_t* __restrict D, const real_t* __restrict Dt,
-                            const real_t* __restrict f, real_t* __restrict g1,
-                            real_t* __restrict g2, real_t* __restrict g3) {
-  const int n1 = N1 > 0 ? N1 : n1_rt;
-  const int n2 = n1 * n1;
-
-  // x: g1(r,i) = sum_m D(i,m) f(r,m) = sum_m Dt(m,i) f(r,m), r = (k,j).
-  for (int r = 0; r < n2; ++r) {
-    const real_t* __restrict fr = f + r * n1;
-    real_t* __restrict gr = g1 + r * n1;
-    for (int i = 0; i < n1; ++i) gr[i] = Dt[i] * fr[0];
-    for (int m = 1; m < n1; ++m) {
-      const real_t fm = fr[m];
-      const real_t* __restrict dtm = Dt + m * n1;
-      for (int i = 0; i < n1; ++i) gr[i] += dtm[i] * fm;
-    }
-  }
-
-  // y: per k-slab, g2(k,j,i) = sum_m D(j,m) f(k,m,i).
-  for (int k = 0; k < n1; ++k) {
-    const real_t* __restrict fk = f + k * n2;
-    real_t* __restrict gk = g2 + k * n2;
-    for (int j = 0; j < n1; ++j) {
-      const real_t* __restrict dj = D + j * n1;
-      real_t* __restrict gj = gk + j * n1;
-      for (int i = 0; i < n1; ++i) gj[i] = dj[0] * fk[i];
-      for (int m = 1; m < n1; ++m) {
-        const real_t djm = dj[m];
-        const real_t* __restrict fm = fk + m * n1;
-        for (int i = 0; i < n1; ++i) gj[i] += djm * fm[i];
-      }
-    }
-  }
-
-  // z: g3(k,:) = sum_m D(k,m) f(m,:) over whole n1^2 slabs.
-  for (int k = 0; k < n1; ++k) {
-    const real_t* __restrict dk = D + k * n1;
-    real_t* __restrict gk = g3 + k * n2;
-    for (int t = 0; t < n2; ++t) gk[t] = dk[0] * f[t];
-    for (int m = 1; m < n1; ++m) {
-      const real_t dkm = dk[m];
-      const real_t* __restrict fm = f + m * n2;
-      for (int t = 0; t < n2; ++t) gk[t] += dkm * fm[t];
-    }
-  }
-}
-
-/// Transposed contractions: out(a) += sum_m D(m,a) F1(m,..) + ... — the weak
-/// divergence completing the stiffness apply.
-template <int N1>
-inline void tensor_divergence_add(int n1_rt, const real_t* __restrict D,
-                                  const real_t* __restrict F1, const real_t* __restrict F2,
-                                  const real_t* __restrict F3, real_t* __restrict out) {
-  const int n1 = N1 > 0 ? N1 : n1_rt;
-  const int n2 = n1 * n1;
-
-  // x: out(r,a) += sum_m D(m,a) F1(r,m); D rows are contiguous in a.
-  for (int r = 0; r < n2; ++r) {
-    const real_t* __restrict Fr = F1 + r * n1;
-    real_t* __restrict orow = out + r * n1;
-    for (int m = 0; m < n1; ++m) {
-      const real_t fm = Fr[m];
-      const real_t* __restrict dm = D + m * n1;
-      for (int a = 0; a < n1; ++a) orow[a] += dm[a] * fm;
-    }
-  }
-
-  // y: out(k,b,i) += sum_m D(m,b) F2(k,m,i).
-  for (int k = 0; k < n1; ++k) {
-    const real_t* __restrict Fk = F2 + k * n2;
-    real_t* __restrict ok = out + k * n2;
-    for (int m = 0; m < n1; ++m) {
-      const real_t* __restrict fm = Fk + m * n1;
-      const real_t* __restrict dm = D + m * n1;
-      for (int b = 0; b < n1; ++b) {
-        const real_t dmb = dm[b];
-        real_t* __restrict ob = ok + b * n1;
-        for (int i = 0; i < n1; ++i) ob[i] += dmb * fm[i];
-      }
-    }
-  }
-
-  // z: out(c,:) += sum_m D(m,c) F3(m,:) over whole n1^2 slabs.
-  for (int m = 0; m < n1; ++m) {
-    const real_t* __restrict fm = F3 + m * n2;
-    const real_t* __restrict dm = D + m * n1;
-    for (int c = 0; c < n1; ++c) {
-      const real_t dmc = dm[c];
-      real_t* __restrict oc = out + c * n2;
-      for (int t = 0; t < n2; ++t) oc[t] += dmc * fm[t];
-    }
-  }
-}
-
-/// out = B^T (kappa G) B ul with the fused symmetric metric G (6 SoA planes).
-template <int N1>
-void acoustic_element_apply(int n1_rt, const real_t* D, const real_t* Dt,
-                            const real_t* __restrict gmat, real_t kappa,
-                            const real_t* __restrict ul, real_t* __restrict out,
-                            real_t* __restrict s1, real_t* __restrict s2,
-                            real_t* __restrict s3) {
-  const int n1 = N1 > 0 ? N1 : n1_rt;
-  const int npts = n1 * n1 * n1;
-
-  tensor_gradient<N1>(n1, D, Dt, ul, s1, s2, s3);
-
-  // Reference gradients -> reference fluxes: one symmetric 3x3 apply per
-  // point, all six metric planes streamed contiguously.
-  const real_t* __restrict g00 = gmat;
-  const real_t* __restrict g01 = gmat + npts;
-  const real_t* __restrict g02 = gmat + 2 * npts;
-  const real_t* __restrict g11 = gmat + 3 * npts;
-  const real_t* __restrict g12 = gmat + 4 * npts;
-  const real_t* __restrict g22 = gmat + 5 * npts;
-  for (int q = 0; q < npts; ++q) {
-    const real_t a = s1[q], b = s2[q], c = s3[q];
-    s1[q] = kappa * (g00[q] * a + g01[q] * b + g02[q] * c);
-    s2[q] = kappa * (g01[q] * a + g11[q] * b + g12[q] * c);
-    s3[q] = kappa * (g02[q] * a + g12[q] * b + g22[q] * c);
-  }
-
-  for (int q = 0; q < npts; ++q) out[q] = 0.0;
-  tensor_divergence_add<N1>(n1, D, s1, s2, s3, out);
-}
-
-/// Isotropic elastic element apply: strain from Jinv, stress, flux through
-/// the precomputed wdet * Jinv.
-template <int N1>
-void elastic_element_apply(int n1_rt, const real_t* D, const real_t* Dt,
-                           const real_t* __restrict jinv, const real_t* __restrict wjinv,
-                           real_t lam, real_t mu, const real_t* const* ul, real_t* const* out,
-                           real_t* const* gr) {
-  const int n1 = N1 > 0 ? N1 : n1_rt;
-  const int npts = n1 * n1 * n1;
-
-  for (int c = 0; c < 3; ++c)
-    tensor_gradient<N1>(n1, D, Dt, ul[c], gr[3 * c], gr[3 * c + 1], gr[3 * c + 2]);
-
-  for (int q = 0; q < npts; ++q) {
-    const real_t* __restrict ji = jinv + static_cast<std::size_t>(q) * 9;
-    const real_t* __restrict wj = wjinv + static_cast<std::size_t>(q) * 9;
-    // Physical displacement gradient H[c][d] = du_c/dx_d.
-    real_t H[3][3];
-    for (int c = 0; c < 3; ++c) {
-      const real_t a = gr[3 * c][q], b = gr[3 * c + 1][q], cc = gr[3 * c + 2][q];
-      for (int d = 0; d < 3; ++d) H[c][d] = ji[d] * a + ji[3 + d] * b + ji[6 + d] * cc;
-    }
-    const real_t trace = H[0][0] + H[1][1] + H[2][2];
-    // Cauchy stress, sigma = lam*tr(eps)*I + 2 mu eps, eps = (H+H^T)/2.
-    real_t S[3][3];
-    for (int c = 0; c < 3; ++c)
-      for (int d = 0; d < 3; ++d) S[c][d] = mu * (H[c][d] + H[d][c]);
-    S[0][0] += lam * trace;
-    S[1][1] += lam * trace;
-    S[2][2] += lam * trace;
-    // Reference flux per component: F[c][r] = sum_d (wdet*jinv)[r][d] S[c][d].
-    for (int c = 0; c < 3; ++c)
-      for (int r = 0; r < 3; ++r)
-        gr[3 * c + r][q] = wj[r * 3] * S[c][0] + wj[r * 3 + 1] * S[c][1] + wj[r * 3 + 2] * S[c][2];
-  }
-
-  for (int c = 0; c < 3; ++c) {
-    real_t* __restrict oc = out[c];
-    for (int q = 0; q < npts; ++q) oc[q] = 0.0;
-    tensor_divergence_add<N1>(n1, D, gr[3 * c], gr[3 * c + 1], gr[3 * c + 2], oc);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Element-block batched kernels
-// ---------------------------------------------------------------------------
 //
-// Same contractions as above, but on lane-interleaved block slabs: entry
-// (q, l) of a slab lives at [q*W + l], W = block_width_for(n1). The lane
+// The SEM stiffness apply B^T (metric) B on lane-interleaved block slabs:
+// entry (q, l) of a slab lives at [q*W + l], W = block_width_for(n1). The
+// d/dxi tensor contractions use the collocation derivative matrix D. The lane
 // axis is walked with the explicit simd::Vec layer (common/simd.hpp): the
 // kernels are tiled into VW-lane chunks (VW = simd::kWidth, the target's
 // native double-vector width), every contraction accumulator is a Vec
@@ -210,8 +30,10 @@ void elastic_element_apply(int n1_rt, const real_t* D, const real_t* Dt,
 // blocks hoist their lane-constant metric into Vec registers across the
 // whole point loop.
 //
-// N1 == 0 again selects the runtime-(n1, bw) generic path from the same
-// source so the block specializations cannot drift from their fallback.
+// Every kernel is templated on the compile-time 1D node count N1 and
+// instantiated for N1 = 2..9; N1 == 0 selects the runtime-(n1, bw) generic
+// path from the same source so the specializations cannot drift from their
+// fallback.
 
 /// Block width as a compile-time constant for specialized instantiations
 /// (0 defers to the runtime bw argument).
@@ -508,38 +330,6 @@ void elastic_block_apply_affine(int n1, int bw, const real_t* D, const real_t* w
 
 } // namespace
 
-AcousticElemFn acoustic_element_kernel(int n1) {
-  switch (n1) {
-    case 2: return &acoustic_element_apply<2>;
-    case 3: return &acoustic_element_apply<3>;
-    case 4: return &acoustic_element_apply<4>;
-    case 5: return &acoustic_element_apply<5>;
-    case 6: return &acoustic_element_apply<6>;
-    case 7: return &acoustic_element_apply<7>;
-    case 8: return &acoustic_element_apply<8>;
-    case 9: return &acoustic_element_apply<9>;
-    default: return &acoustic_element_apply<0>;
-  }
-}
-
-ElasticElemFn elastic_element_kernel(int n1) {
-  switch (n1) {
-    case 2: return &elastic_element_apply<2>;
-    case 3: return &elastic_element_apply<3>;
-    case 4: return &elastic_element_apply<4>;
-    case 5: return &elastic_element_apply<5>;
-    case 6: return &elastic_element_apply<6>;
-    case 7: return &elastic_element_apply<7>;
-    case 8: return &elastic_element_apply<8>;
-    case 9: return &elastic_element_apply<9>;
-    default: return &elastic_element_apply<0>;
-  }
-}
-
-AcousticElemFn acoustic_element_kernel_generic() { return &acoustic_element_apply<0>; }
-
-ElasticElemFn elastic_element_kernel_generic() { return &elastic_element_apply<0>; }
-
 AcousticBlockFn acoustic_block_kernel(int n1) {
   switch (n1) {
     case 2: return &acoustic_block_apply<2>;
@@ -567,10 +357,6 @@ ElasticBlockFn elastic_block_kernel(int n1) {
     default: return &elastic_block_apply<0>;
   }
 }
-
-AcousticBlockFn acoustic_block_kernel_generic() { return &acoustic_block_apply<0>; }
-
-ElasticBlockFn elastic_block_kernel_generic() { return &elastic_block_apply<0>; }
 
 AcousticBlockAffineFn acoustic_block_kernel_affine(int n1) {
   switch (n1) {
@@ -600,61 +386,6 @@ ElasticBlockAffineFn elastic_block_kernel_affine(int n1) {
   }
 }
 
-AcousticBlockAffineFn acoustic_block_kernel_affine_generic() {
-  return &acoustic_block_apply_affine<0>;
-}
-
-ElasticBlockAffineFn elastic_block_kernel_affine_generic() {
-  return &elastic_block_apply_affine<0>;
-}
-
 } // namespace kernels
-
-// ---------------------------------------------------------------------------
-// LevelMask
-// ---------------------------------------------------------------------------
-
-LevelMask::LevelMask(const SemSpace& space, std::span<const level_t> node_level,
-                     level_t num_levels)
-    : num_levels_(num_levels) {
-  const index_t ne = space.num_elems();
-  const int npts = space.nodes_per_elem();
-  homog_.assign(static_cast<std::size_t>(ne), 0);
-  mixed_id_.assign(static_cast<std::size_t>(ne), kInvalidIndex);
-
-  std::vector<std::uint8_t> present(static_cast<std::size_t>(num_levels));
-  for (index_t e = 0; e < ne; ++e) {
-    const gindex_t* l2g = space.elem_nodes(e);
-    const level_t first = node_level[static_cast<std::size_t>(l2g[0])];
-    bool uniform = true;
-    for (int q = 1; q < npts; ++q)
-      if (node_level[static_cast<std::size_t>(l2g[q])] != first) {
-        uniform = false;
-        break;
-      }
-    if (uniform) {
-      homog_[static_cast<std::size_t>(e)] = first;
-      continue;
-    }
-
-    const auto mid = static_cast<index_t>(mask_off_.size() / static_cast<std::size_t>(num_levels));
-    mixed_id_[static_cast<std::size_t>(e)] = mid;
-    mask_off_.resize(mask_off_.size() + static_cast<std::size_t>(num_levels), -1);
-
-    std::fill(present.begin(), present.end(), 0);
-    for (int q = 0; q < npts; ++q)
-      present[static_cast<std::size_t>(node_level[static_cast<std::size_t>(l2g[q])] - 1)] = 1;
-    for (level_t k = 1; k <= num_levels; ++k) {
-      if (!present[static_cast<std::size_t>(k - 1)]) continue;
-      const auto off = static_cast<std::ptrdiff_t>(mask_data_.size());
-      mask_off_[static_cast<std::size_t>(mid) * static_cast<std::size_t>(num_levels) +
-                static_cast<std::size_t>(k - 1)] = off;
-      mask_data_.resize(mask_data_.size() + static_cast<std::size_t>(npts));
-      real_t* m = mask_data_.data() + off;
-      for (int q = 0; q < npts; ++q)
-        m[q] = node_level[static_cast<std::size_t>(l2g[q])] == k ? 1.0 : 0.0;
-    }
-  }
-}
 
 } // namespace ltswave::sem

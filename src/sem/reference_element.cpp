@@ -30,11 +30,6 @@ ReferenceElement::ReferenceElement(int order) : order_(order), rule_(gll_rule(or
       deriv_[static_cast<std::size_t>(i) * n1 + static_cast<std::size_t>(j)] = v;
     }
   }
-  deriv_t_.assign(deriv_.size(), 0.0);
-  for (int i = 0; i < n1; ++i)
-    for (int j = 0; j < n1; ++j)
-      deriv_t_[static_cast<std::size_t>(j) * n1 + static_cast<std::size_t>(i)] =
-          deriv_[static_cast<std::size_t>(i) * n1 + static_cast<std::size_t>(j)];
 }
 
 std::vector<real_t> ReferenceElement::lagrange_at(real_t xi) const {

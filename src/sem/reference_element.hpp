@@ -34,9 +34,6 @@ public:
   /// For data f at GLL nodes, (df/dxi)(x_i) = sum_j D(i,j) f_j.
   [[nodiscard]] const std::vector<real_t>& deriv_matrix() const noexcept { return deriv_; }
 
-  /// D^T, precomputed so kernels whose output index runs over D's *rows* can
-  /// still stream a contiguous matrix row in their inner loop.
-  [[nodiscard]] const std::vector<real_t>& deriv_matrix_t() const noexcept { return deriv_t_; }
   [[nodiscard]] real_t deriv(int i, int j) const {
     return deriv_[static_cast<std::size_t>(i) * static_cast<std::size_t>(nodes_1d()) + static_cast<std::size_t>(j)];
   }
@@ -58,7 +55,6 @@ private:
   int order_;
   GllRule rule_;
   std::vector<real_t> deriv_;
-  std::vector<real_t> deriv_t_;
 };
 
 } // namespace ltswave::sem

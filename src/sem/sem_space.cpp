@@ -187,92 +187,101 @@ void SemSpace::build_numbering() {
   }
 }
 
+void SemSpace::element_metrics(index_t e, std::span<PointMetrics> pts) const {
+  const auto& m = *mesh_;
+  const int n1 = ref_.nodes_1d();
+  LTS_DCHECK(pts.size() <= static_cast<std::size_t>(nodes_per_elem()));
+  const auto& xi = ref_.points();
+  const auto& w = ref_.weights();
+  const index_t* c = m.corners(e);
+  std::size_t q = 0;
+  for (int k = 0; k < n1; ++k)
+    for (int j = 0; j < n1; ++j)
+      for (int i = 0; i < n1; ++i, ++q) {
+        if (q == pts.size()) return;
+        const real_t X = xi[static_cast<std::size_t>(i)], Y = xi[static_cast<std::size_t>(j)], Z = xi[static_cast<std::size_t>(k)];
+        // Trilinear map and its Jacobian from the 8 corners.
+        real_t pos[3] = {0, 0, 0};
+        real_t J[3][3] = {{0, 0, 0}, {0, 0, 0}, {0, 0, 0}};
+        for (int corner = 0; corner < 8; ++corner) {
+          const real_t sx = (corner & 1) ? 1.0 : -1.0;
+          const real_t sy = (corner & 2) ? 1.0 : -1.0;
+          const real_t sz = (corner & 4) ? 1.0 : -1.0;
+          const real_t fx = (1 + sx * X) / 2, fy = (1 + sy * Y) / 2, fz = (1 + sz * Z) / 2;
+          const real_t shape = fx * fy * fz;
+          const real_t dN[3] = {sx / 2 * fy * fz, fx * sy / 2 * fz, fx * fy * sz / 2};
+          const real_t* xc = m.node(c[corner]);
+          for (int d = 0; d < 3; ++d) {
+            pos[d] += shape * xc[d];
+            for (int r = 0; r < 3; ++r) J[d][r] += xc[d] * dN[r];
+          }
+        }
+        const real_t det = J[0][0] * (J[1][1] * J[2][2] - J[1][2] * J[2][1]) -
+                           J[0][1] * (J[1][0] * J[2][2] - J[1][2] * J[2][0]) +
+                           J[0][2] * (J[1][0] * J[2][1] - J[1][1] * J[2][0]);
+        LTS_CHECK_MSG(det > 0, "inverted element " << e << " at quad point " << q);
+        PointMetrics& pm = pts[q];
+        // inv(J): row r, col d = d xi_r / d x_d = cofactor(J)^T / det.
+        real_t* ji = pm.jinv;
+        ji[0 * 3 + 0] = (J[1][1] * J[2][2] - J[1][2] * J[2][1]) / det;
+        ji[0 * 3 + 1] = (J[0][2] * J[2][1] - J[0][1] * J[2][2]) / det;
+        ji[0 * 3 + 2] = (J[0][1] * J[1][2] - J[0][2] * J[1][1]) / det;
+        ji[1 * 3 + 0] = (J[1][2] * J[2][0] - J[1][0] * J[2][2]) / det;
+        ji[1 * 3 + 1] = (J[0][0] * J[2][2] - J[0][2] * J[2][0]) / det;
+        ji[1 * 3 + 2] = (J[0][2] * J[1][0] - J[0][0] * J[1][2]) / det;
+        ji[2 * 3 + 0] = (J[1][0] * J[2][1] - J[1][1] * J[2][0]) / det;
+        ji[2 * 3 + 1] = (J[0][1] * J[2][0] - J[0][0] * J[2][1]) / det;
+        ji[2 * 3 + 2] = (J[0][0] * J[1][1] - J[0][1] * J[1][0]) / det;
+
+        // Fused metrics for the kernel engine: the symmetric
+        // G = wdet * Jinv Jinv^T (acoustic) and wdet * Jinv (elastic flux
+        // factor).
+        const real_t wq = w[static_cast<std::size_t>(i)] * w[static_cast<std::size_t>(j)] * w[static_cast<std::size_t>(k)];
+        const real_t wd = wq * det;
+        int plane = 0;
+        for (int r = 0; r < 3; ++r)
+          for (int s = r; s < 3; ++s) {
+            pm.gmat[plane] = wd * (ji[r * 3] * ji[s * 3] + ji[r * 3 + 1] * ji[s * 3 + 1] +
+                                   ji[r * 3 + 2] * ji[s * 3 + 2]);
+            ++plane;
+          }
+        for (int t = 0; t < 9; ++t) pm.wjinv[t] = wd * ji[t];
+        for (int d = 0; d < 3; ++d) pm.pos[d] = pos[d];
+        pm.det = det;
+      }
+}
+
 void SemSpace::build_geometry() {
   const auto& m = *mesh_;
-  const int N = ref_.order();
   const int n1 = ref_.nodes_1d();
   const int npts = ref_.nodes_per_elem();
-  const index_t ne = m.num_elems();
-  const auto& xi = ref_.points();
   const auto& w = ref_.weights();
 
   coords_.assign(static_cast<std::size_t>(num_global_) * 3, 0.0);
-  jinv_.assign(static_cast<std::size_t>(ne) * npts * 9, 0.0);
-  gmat_.assign(static_cast<std::size_t>(ne) * 6 * npts, 0.0);
-  wjinv_.assign(static_cast<std::size_t>(ne) * npts * 9, 0.0);
   mass_.assign(static_cast<std::size_t>(num_global_), 0.0);
 
-  for (index_t e = 0; e < ne; ++e) {
-    const index_t* c = m.corners(e);
+  // The metrics are evaluated here only for det and positions (and the
+  // inverted-element check) and then dropped: the kernels read them from
+  // BatchPlan slabs, which recompute them per plan element.
+  std::vector<PointMetrics> pts(static_cast<std::size_t>(npts));
+  for (index_t e = 0; e < m.num_elems(); ++e) {
+    element_metrics(e, pts);
     const gindex_t* l2g = elem_nodes(e);
     const real_t rho = m.material(e).rho;
     for (int k = 0; k < n1; ++k)
       for (int j = 0; j < n1; ++j)
         for (int i = 0; i < n1; ++i) {
           const int q = ref_.local_index(i, j, k);
-          const real_t X = xi[static_cast<std::size_t>(i)], Y = xi[static_cast<std::size_t>(j)], Z = xi[static_cast<std::size_t>(k)];
-          // Trilinear map and its Jacobian from the 8 corners.
-          real_t pos[3] = {0, 0, 0};
-          real_t J[3][3] = {{0, 0, 0}, {0, 0, 0}, {0, 0, 0}};
-          for (int corner = 0; corner < 8; ++corner) {
-            const real_t sx = (corner & 1) ? 1.0 : -1.0;
-            const real_t sy = (corner & 2) ? 1.0 : -1.0;
-            const real_t sz = (corner & 4) ? 1.0 : -1.0;
-            const real_t fx = (1 + sx * X) / 2, fy = (1 + sy * Y) / 2, fz = (1 + sz * Z) / 2;
-            const real_t shape = fx * fy * fz;
-            const real_t dN[3] = {sx / 2 * fy * fz, fx * sy / 2 * fz, fx * fy * sz / 2};
-            const real_t* xc = m.node(c[corner]);
-            for (int d = 0; d < 3; ++d) {
-              pos[d] += shape * xc[d];
-              for (int r = 0; r < 3; ++r) J[d][r] += xc[d] * dN[r];
-            }
-          }
-          const real_t det = J[0][0] * (J[1][1] * J[2][2] - J[1][2] * J[2][1]) -
-                             J[0][1] * (J[1][0] * J[2][2] - J[1][2] * J[2][0]) +
-                             J[0][2] * (J[1][0] * J[2][1] - J[1][1] * J[2][0]);
-          LTS_CHECK_MSG(det > 0, "inverted element " << e << " at quad point " << q);
-          // inv(J): row r, col d = d xi_r / d x_d = cofactor(J)^T / det.
-          real_t* ji = jinv_.data() + (static_cast<std::size_t>(e) * npts + static_cast<std::size_t>(q)) * 9;
-          ji[0 * 3 + 0] = (J[1][1] * J[2][2] - J[1][2] * J[2][1]) / det;
-          ji[0 * 3 + 1] = (J[0][2] * J[2][1] - J[0][1] * J[2][2]) / det;
-          ji[0 * 3 + 2] = (J[0][1] * J[1][2] - J[0][2] * J[1][1]) / det;
-          ji[1 * 3 + 0] = (J[1][2] * J[2][0] - J[1][0] * J[2][2]) / det;
-          ji[1 * 3 + 1] = (J[0][0] * J[2][2] - J[0][2] * J[2][0]) / det;
-          ji[1 * 3 + 2] = (J[0][2] * J[1][0] - J[0][0] * J[1][2]) / det;
-          ji[2 * 3 + 0] = (J[1][0] * J[2][1] - J[1][1] * J[2][0]) / det;
-          ji[2 * 3 + 1] = (J[0][1] * J[2][0] - J[0][0] * J[2][1]) / det;
-          ji[2 * 3 + 2] = (J[0][0] * J[1][1] - J[0][1] * J[1][0]) / det;
-
+          const PointMetrics& pm = pts[static_cast<std::size_t>(q)];
           const real_t wq = w[static_cast<std::size_t>(i)] * w[static_cast<std::size_t>(j)] * w[static_cast<std::size_t>(k)];
-          // w*det is construction-scoped: the per-apply working set only ever
-          // sees it folded into gmat (acoustic) and wjinv (elastic), so no
-          // wdet array is kept resident — only the integrated volume.
-          const real_t wd = wq * det;
-          quad_volume_ += wd;
-
-          // Fused metrics for the kernel engine: the symmetric
-          // G = wdet * Jinv Jinv^T (six SoA planes per element, acoustic
-          // path) and wdet * Jinv (elastic flux factor).
-          real_t* gm = gmat_.data() + static_cast<std::size_t>(e) * 6 * npts;
-          int plane = 0;
-          for (int r = 0; r < 3; ++r)
-            for (int s = r; s < 3; ++s) {
-              gm[static_cast<std::size_t>(plane) * npts + static_cast<std::size_t>(q)] =
-                  wd * (ji[r * 3] * ji[s * 3] + ji[r * 3 + 1] * ji[s * 3 + 1] +
-                        ji[r * 3 + 2] * ji[s * 3 + 2]);
-              ++plane;
-            }
-          real_t* wj = wjinv_.data() + (static_cast<std::size_t>(e) * npts + static_cast<std::size_t>(q)) * 9;
-          for (int t = 0; t < 9; ++t) wj[t] = wd * ji[t];
-
+          quad_volume_ += wq * pm.det;
           const gindex_t g = l2g[q];
-          coords_[static_cast<std::size_t>(g) * 3 + 0] = pos[0];
-          coords_[static_cast<std::size_t>(g) * 3 + 1] = pos[1];
-          coords_[static_cast<std::size_t>(g) * 3 + 2] = pos[2];
-          mass_[static_cast<std::size_t>(g)] += rho * wq * det;
+          coords_[static_cast<std::size_t>(g) * 3 + 0] = pm.pos[0];
+          coords_[static_cast<std::size_t>(g) * 3 + 1] = pm.pos[1];
+          coords_[static_cast<std::size_t>(g) * 3 + 2] = pm.pos[2];
+          mass_[static_cast<std::size_t>(g)] += rho * wq * pm.det;
         }
   }
-  (void)N;
 
   inv_mass_.resize(mass_.size());
   for (std::size_t g = 0; g < mass_.size(); ++g) {

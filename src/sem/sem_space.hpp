@@ -3,14 +3,20 @@
 /// \file sem_space.hpp
 /// Global spectral-element discretization of a conforming hex mesh:
 /// continuous global GLL-node numbering (vertex/edge/face/interior entities),
-/// per-quadrature-point geometric factors, and the diagonal (lumped) global
-/// mass matrix (paper Sec. I-B).
+/// node coordinates, and the diagonal (lumped) global mass matrix (paper
+/// Sec. I-B).
+///
+/// The per-quadrature-point geometric factors the stiffness kernels consume
+/// are not stored here: element_metrics() evaluates them from the mesh
+/// corners on demand, and sem::BatchPlan calls it while filling its block
+/// slabs — the one resident copy of the metrics.
 ///
 /// Unlike DG codes, the SEM *shares* nodes between neighbouring elements; this
 /// sharing is exactly what complicates LTS (paper Sec. II-C) and what the
 /// level/halo machinery in src/core handles.
 
 #include <array>
+#include <span>
 #include <vector>
 
 #include "mesh/hex_mesh.hpp"
@@ -48,26 +54,22 @@ public:
   /// search, so source/receiver placement stays fast on large meshes.
   [[nodiscard]] gindex_t nearest_node(std::array<real_t, 3> x) const;
 
-  /// Inverse Jacobian at quadrature point q of element e, row-major 3x3 with
-  /// entry (r,d) = d xi_r / d x_d.
-  [[nodiscard]] const real_t* jinv(index_t e, int q) const {
-    return jinv_.data() + (static_cast<std::size_t>(e) * static_cast<std::size_t>(nodes_per_elem()) + static_cast<std::size_t>(q)) * 9;
-  }
+  /// Geometric factors of the trilinear element map at one quadrature point.
+  struct PointMetrics {
+    real_t pos[3];   ///< physical position of the point
+    real_t det;      ///< Jacobian determinant (> 0)
+    real_t jinv[9];  ///< inverse Jacobian, row-major: (r,d) = d xi_r / d x_d
+    /// Fused acoustic metric G = wdet * Jinv Jinv^T in the order G00, G01,
+    /// G02, G11, G12, G22 (wdet = quadrature weight * det).
+    real_t gmat[6];
+    real_t wjinv[9]; ///< wdet * Jinv, the elastic flux factor (row-major)
+  };
 
-  /// Fused symmetric metric for the acoustic kernel: per quadrature point the
-  /// matrix G = wdet * Jinv * Jinv^T (entry (r,s) = wdet * sum_d
-  /// jinv[r][d] jinv[s][d]). Stored per element as six SoA planes of
-  /// nodes_per_elem() values in the order G00, G01, G02, G11, G12, G22, so
-  /// the per-point symmetric apply streams six contiguous arrays.
-  [[nodiscard]] const real_t* gmat(index_t e) const {
-    return gmat_.data() + static_cast<std::size_t>(e) * 6 * static_cast<std::size_t>(nodes_per_elem());
-  }
-
-  /// wdet * Jinv at quadrature point q of element e (row-major 3x3), the
-  /// precomputed flux factor for the elastic kernel.
-  [[nodiscard]] const real_t* wjinv(index_t e, int q) const {
-    return wjinv_.data() + (static_cast<std::size_t>(e) * static_cast<std::size_t>(nodes_per_elem()) + static_cast<std::size_t>(q)) * 9;
-  }
+  /// Evaluates the metrics of element e at its first pts.size() quadrature
+  /// points, in local order q = i + n1 * (j + n1 * k). Pure function of the
+  /// mesh geometry: repeated calls give bitwise identical values. Throws if
+  /// the Jacobian is non-positive at an evaluated point.
+  void element_metrics(index_t e, std::span<PointMetrics> pts) const;
 
   /// Diagonal global mass matrix (length num_global_nodes()); strictly
   /// positive. Shared by all field components.
@@ -89,13 +91,6 @@ private:
   std::vector<gindex_t> local_to_global_;
   gindex_t num_global_ = 0;
   std::vector<real_t> coords_; // 3 * num_global_
-  // Per-apply geometric working set. The raw quadrature factor w*det is
-  // construction-scoped: nothing reads it after the fused products below are
-  // built (the acoustic path streams gmat, the elastic path jinv + wjinv), so
-  // it is not stored — only its sum (quad_volume_) survives for sanity tests.
-  std::vector<real_t> jinv_;   // nelem * npts * 9 (elastic gradient factor)
-  std::vector<real_t> gmat_;   // nelem * 6 * npts (SoA planes per element)
-  std::vector<real_t> wjinv_;  // nelem * npts * 9 (elastic flux factor)
   std::vector<real_t> mass_;
   std::vector<real_t> inv_mass_;
   real_t quad_volume_ = 0;

@@ -8,9 +8,8 @@ KernelWorkspace::KernelWorkspace(const SemSpace& space, int ncomp) {
   const auto npts = static_cast<std::size_t>(space.nodes_per_elem());
   const auto width = static_cast<std::size_t>(kernels::block_width_for(space.ref().nodes_1d()));
   // One buffer holds a full lane-interleaved block slab (width * npts, a
-  // whole number of cache lines since width is a multiple of 8); the
-  // single-element kernels use a prefix of the same buffers. Sized once here
-  // per (order, block width) and reused across every level and apply.
+  // whole number of cache lines since width is a multiple of 8). Sized once
+  // here per (order, block width) and reused across every level and apply.
   stride_ = width * ((npts + 7u) & ~std::size_t{7u});
   // Buffers: acoustic needs gather + output + 3 scratch slabs (5); elastic
   // needs 3 gathers + 9 gradient/flux slabs + 3 outputs (15). One slack slab
@@ -46,7 +45,6 @@ const BatchPlan& WaveOperator::full_plan() const {
 
 AcousticOperator::AcousticOperator(const SemSpace& space, KernelMode mode)
     : WaveOperator(space),
-      kernel_(kernels::acoustic_element_kernel(dispatch_n1(space, mode))),
       block_kernel_(kernels::acoustic_block_kernel(dispatch_n1(space, mode))),
       affine_kernel_(kernels::acoustic_block_kernel_affine(dispatch_n1(space, mode))) {
   const auto& m = space.mesh();
@@ -55,71 +53,6 @@ AcousticOperator::AcousticOperator(const SemSpace& space, KernelMode mode)
     const auto& mat = m.material(e);
     kappa_[static_cast<std::size_t>(e)] = mat.rho * mat.vp * mat.vp;
   }
-}
-
-template <class Gather>
-void AcousticOperator::apply_impl(std::span<const index_t> elems, real_t* out,
-                                  KernelWorkspace& ws, Gather&& gather) const {
-  const SemSpace& sp = space();
-  const int n1 = sp.ref().nodes_1d();
-  const int npts = sp.nodes_per_elem();
-  const real_t* D = sp.ref().deriv_matrix().data();
-  const real_t* Dt = sp.ref().deriv_matrix_t().data();
-
-  real_t* ul = ws.buffer(0);
-  real_t* ol = ws.buffer(1);
-  real_t* s1 = ws.buffer(2);
-  real_t* s2 = ws.buffer(3);
-  real_t* s3 = ws.buffer(4);
-
-  for (index_t e : elems) {
-    const gindex_t* l2g = sp.elem_nodes(e);
-    if (!gather(e, l2g, ul)) continue;
-    kernel_(n1, D, Dt, sp.gmat(e), kappa_[static_cast<std::size_t>(e)], ul, ol, s1, s2, s3);
-    for (int q = 0; q < npts; ++q) out[l2g[q]] += ol[q];
-  }
-}
-
-void AcousticOperator::apply_add(std::span<const index_t> elems, const real_t* u, real_t* out,
-                                 KernelWorkspace& ws) const {
-  const int npts = space().nodes_per_elem();
-  apply_impl(elems, out, ws, [&](index_t, const gindex_t* l2g, real_t* ul) {
-    for (int q = 0; q < npts; ++q) ul[q] = u[l2g[q]];
-    return true;
-  });
-}
-
-void AcousticOperator::apply_add_level(std::span<const index_t> elems, const level_t* node_level,
-                                       level_t level, const real_t* u, real_t* out,
-                                       KernelWorkspace& ws) const {
-  const int npts = space().nodes_per_elem();
-  apply_impl(elems, out, ws, [&](index_t, const gindex_t* l2g, real_t* ul) {
-    for (int q = 0; q < npts; ++q) {
-      const gindex_t g = l2g[q];
-      ul[q] = (node_level[g] == level) ? u[g] : 0.0;
-    }
-    return true;
-  });
-}
-
-void AcousticOperator::apply_add_level(std::span<const index_t> elems, const LevelMask& mask,
-                                       level_t level, const real_t* u, real_t* out,
-                                       KernelWorkspace& ws) const {
-  const int npts = space().nodes_per_elem();
-  apply_impl(elems, out, ws, [&](index_t e, const gindex_t* l2g, real_t* ul) {
-    const level_t h = mask.homogeneous(e);
-    if (h != 0) {
-      // Homogeneous element: all columns share one level — either the whole
-      // element participates (plain gather) or none of it does.
-      if (h != level) return false;
-      for (int q = 0; q < npts; ++q) ul[q] = u[l2g[q]];
-      return true;
-    }
-    const real_t* mk = mask.mask(e, level);
-    if (mk == nullptr) return false;
-    for (int q = 0; q < npts; ++q) ul[q] = mk[q] * u[l2g[q]];
-    return true;
-  });
 }
 
 void AcousticOperator::apply_add_blocks(const BatchPlan& plan, index_t b0, index_t b1,
@@ -182,7 +115,6 @@ void AcousticOperator::apply_add_blocks(const BatchPlan& plan, index_t b0, index
 
 ElasticOperator::ElasticOperator(const SemSpace& space, KernelMode mode)
     : WaveOperator(space),
-      kernel_(kernels::elastic_element_kernel(dispatch_n1(space, mode))),
       block_kernel_(kernels::elastic_block_kernel(dispatch_n1(space, mode))),
       affine_kernel_(kernels::elastic_block_kernel_affine(dispatch_n1(space, mode))) {
   const auto& m = space.mesh();
@@ -197,96 +129,6 @@ ElasticOperator::ElasticOperator(const SemSpace& space, KernelMode mode)
   }
 }
 
-template <class Gather>
-void ElasticOperator::apply_impl(std::span<const index_t> elems, real_t* out,
-                                 KernelWorkspace& ws, Gather&& gather) const {
-  const SemSpace& sp = space();
-  const int n1 = sp.ref().nodes_1d();
-  const int npts = sp.nodes_per_elem();
-  const real_t* D = sp.ref().deriv_matrix().data();
-  const real_t* Dt = sp.ref().deriv_matrix_t().data();
-
-  // Buffer layout: gather (buffers 0..2), ref-gradients / fluxes (3..11),
-  // output (12..14) — 15 of the 16 elastic workspace buffers.
-  real_t* ul[3] = {ws.buffer(0), ws.buffer(1), ws.buffer(2)};
-  real_t* gr[9];
-  for (int b = 0; b < 9; ++b) gr[b] = ws.buffer(3 + b);
-  real_t* ol[3] = {ws.buffer(12), ws.buffer(13), ws.buffer(14)};
-
-  for (index_t e : elems) {
-    const gindex_t* l2g = sp.elem_nodes(e);
-    if (!gather(e, l2g, ul)) continue;
-    kernel_(n1, D, Dt, sp.jinv(e, 0), sp.wjinv(e, 0), lambda_[static_cast<std::size_t>(e)],
-            mu_[static_cast<std::size_t>(e)], ul, ol, gr);
-    for (int q = 0; q < npts; ++q) {
-      const std::size_t b = static_cast<std::size_t>(l2g[q]) * 3;
-      out[b] += ol[0][q];
-      out[b + 1] += ol[1][q];
-      out[b + 2] += ol[2][q];
-    }
-  }
-}
-
-void ElasticOperator::apply_add(std::span<const index_t> elems, const real_t* u, real_t* out,
-                                KernelWorkspace& ws) const {
-  const int npts = space().nodes_per_elem();
-  apply_impl(elems, out, ws, [&](index_t, const gindex_t* l2g, real_t* const* ul) {
-    for (int q = 0; q < npts; ++q) {
-      const std::size_t b = static_cast<std::size_t>(l2g[q]) * 3;
-      ul[0][q] = u[b];
-      ul[1][q] = u[b + 1];
-      ul[2][q] = u[b + 2];
-    }
-    return true;
-  });
-}
-
-void ElasticOperator::apply_add_level(std::span<const index_t> elems, const level_t* node_level,
-                                      level_t level, const real_t* u, real_t* out,
-                                      KernelWorkspace& ws) const {
-  const int npts = space().nodes_per_elem();
-  apply_impl(elems, out, ws, [&](index_t, const gindex_t* l2g, real_t* const* ul) {
-    for (int q = 0; q < npts; ++q) {
-      const gindex_t g = l2g[q];
-      const bool take = node_level[g] == level;
-      const std::size_t b = static_cast<std::size_t>(g) * 3;
-      ul[0][q] = take ? u[b] : 0.0;
-      ul[1][q] = take ? u[b + 1] : 0.0;
-      ul[2][q] = take ? u[b + 2] : 0.0;
-    }
-    return true;
-  });
-}
-
-void ElasticOperator::apply_add_level(std::span<const index_t> elems, const LevelMask& mask,
-                                      level_t level, const real_t* u, real_t* out,
-                                      KernelWorkspace& ws) const {
-  const int npts = space().nodes_per_elem();
-  apply_impl(elems, out, ws, [&](index_t e, const gindex_t* l2g, real_t* const* ul) {
-    const level_t h = mask.homogeneous(e);
-    if (h != 0) {
-      if (h != level) return false;
-      for (int q = 0; q < npts; ++q) {
-        const std::size_t b = static_cast<std::size_t>(l2g[q]) * 3;
-        ul[0][q] = u[b];
-        ul[1][q] = u[b + 1];
-        ul[2][q] = u[b + 2];
-      }
-      return true;
-    }
-    const real_t* mk = mask.mask(e, level);
-    if (mk == nullptr) return false;
-    for (int q = 0; q < npts; ++q) {
-      const std::size_t b = static_cast<std::size_t>(l2g[q]) * 3;
-      const real_t m = mk[q];
-      ul[0][q] = m * u[b];
-      ul[1][q] = m * u[b + 1];
-      ul[2][q] = m * u[b + 2];
-    }
-    return true;
-  });
-}
-
 void ElasticOperator::apply_add_blocks(const BatchPlan& plan, index_t b0, index_t b1,
                                        const real_t* u, real_t* out, KernelWorkspace& ws) const {
   const SemSpace& sp = space();
@@ -296,9 +138,9 @@ void ElasticOperator::apply_add_blocks(const BatchPlan& plan, index_t b0, index_
   const int pts = npts * W;
   const real_t* D = sp.ref().deriv_matrix().data();
 
-  // Buffer layout as in the single-element path: gathers 0..2, gradients /
-  // fluxes 3..11, outputs 12..14 — each now a full block slab (the elastic
-  // workspace allocates 16, leaving one slack slab).
+  // Buffer layout: gathers 0..2, gradients / fluxes 3..11, outputs 12..14 —
+  // each a full block slab (the elastic workspace allocates 16, leaving one
+  // slack slab).
   real_t* ul[3] = {ws.buffer(0), ws.buffer(1), ws.buffer(2)};
   real_t* gr[9];
   for (int b = 0; b < 9; ++b) gr[b] = ws.buffer(3 + b);

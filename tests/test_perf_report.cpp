@@ -302,7 +302,7 @@ TEST(DocSync, PerformanceDocPinsTheSimdSurface) {
   const std::string doc = read_doc("docs/performance.md");
   for (const char* needle :
        {"LTSWAVE_SIMD", "src/common/simd.hpp", "simd_isa", "simd_width",
-        "block_conflict_free()", "Coloring::None", "coloring_speedup", "batched_speedup"})
+        "block_conflict_free()", "Coloring::None", "coloring_speedup"})
     EXPECT_NE(doc.find(needle), std::string::npos)
         << "docs/performance.md must mention " << needle;
 }

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/executor.hpp"
+#include "resilience/error.hpp"
 #include "scenarios/scenario.hpp"
 
 namespace ltswave::scenarios {
@@ -86,6 +88,45 @@ TEST(ScenarioSpec, FluentBuilderComposes) {
   EXPECT_EQ(spec.mesh.n, 16);
   EXPECT_EQ(spec.sources.size(), 1u);
   EXPECT_EQ(spec.receivers.size(), 3u); // strip's two plus the new one
+}
+
+TEST(ScenarioRun, EveryScenarioRunsUnderBothPhysics) {
+  // Registered receivers, sources and bumps must make sense under either
+  // physics: `physics=` is a plain override on every scenario. Vertical
+  // receivers resolve to u_z (elastic) or the scalar (acoustic).
+  for (const auto& name : names())
+    for (const core::Physics physics : {core::Physics::Acoustic, core::Physics::Elastic}) {
+      SCOPED_TRACE(name + " " + core::to_string(physics));
+      const auto spec = get(name).with_physics(physics).with_mesh_resolution(4).with_cycles(2);
+      const RunResult r = run(spec);
+      EXPECT_EQ(r.trace_values.size(), spec.receivers.size());
+      EXPECT_GT(r.end_time, 0);
+      for (const real_t v : r.u) ASSERT_TRUE(std::isfinite(v));
+    }
+}
+
+TEST(ScenarioRun, OutOfRangeComponentRaisesInvalidConfig) {
+  const auto expect_invalid = [](const ScenarioSpec& spec, const char* component,
+                                 const char* physics) {
+    try {
+      (void)spec.make_simulation();
+      FAIL() << "expected resilience::InvalidConfig";
+    } catch (const resilience::InvalidConfig& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(std::string("component ") + component), std::string::npos) << msg;
+      EXPECT_NE(msg.find(physics), std::string::npos) << msg;
+    }
+  };
+  const auto strip = get("strip").with_mesh_resolution(4);
+  auto elastic = strip;
+  elastic.with_physics(core::Physics::Elastic).with_receiver({.component = 3});
+  expect_invalid(elastic, "3", "elastic");
+  auto acoustic = strip;
+  acoustic.with_receiver({.component = 1});
+  expect_invalid(acoustic, "1", "acoustic");
+  auto bump = strip;
+  bump.with_initial({.component = -2});
+  expect_invalid(bump, "-2", "acoustic");
 }
 
 TEST(ScenarioSpec, MaterialRegionsPaintHeterogeneousMedia) {

@@ -15,12 +15,6 @@
 namespace ltswave::sem {
 namespace {
 
-std::vector<index_t> all_elems(const SemSpace& s) {
-  std::vector<index_t> v(static_cast<std::size_t>(s.num_elems()));
-  for (std::size_t i = 0; i < v.size(); ++i) v[i] = static_cast<index_t>(i);
-  return v;
-}
-
 std::vector<real_t> random_field(std::size_t n, Rng& rng) {
   std::vector<real_t> u(n);
   for (auto& x : u) x = rng.uniform_real(-1, 1);
@@ -33,11 +27,13 @@ real_t dot(const std::vector<real_t>& a, const std::vector<real_t>& b) {
   return s;
 }
 
+/// K u over every element, through the operator's full-mesh plan.
 template <class Op>
-std::vector<real_t> apply(const Op& op, const SemSpace& s, const std::vector<real_t>& u) {
+std::vector<real_t> apply_full(const Op& op, const std::vector<real_t>& u) {
   std::vector<real_t> out(u.size(), 0.0);
   auto ws = op.make_workspace();
-  op.apply_add(all_elems(s), u.data(), out.data(), ws);
+  const BatchPlan& plan = op.full_plan();
+  op.apply_add_blocks(plan, 0, plan.num_blocks(), u.data(), out.data(), ws);
   return out;
 }
 
@@ -79,8 +75,8 @@ TEST_P(WaveOperatorTest, Symmetry) {
   for (int trial = 0; trial < 3; ++trial) {
     const auto a = random_field(ndof_, rng);
     const auto b = random_field(ndof_, rng);
-    const real_t aKb = dot(a, apply(*op_, *space_, b));
-    const real_t bKa = dot(b, apply(*op_, *space_, a));
+    const real_t aKb = dot(a, apply_full(*op_, b));
+    const real_t bKa = dot(b, apply_full(*op_, a));
     EXPECT_NEAR(aKb, bKa, 1e-9 * std::max(std::abs(aKb), 1.0));
   }
 }
@@ -89,7 +85,7 @@ TEST_P(WaveOperatorTest, PositiveSemidefinite) {
   Rng rng(7);
   for (int trial = 0; trial < 5; ++trial) {
     const auto u = random_field(ndof_, rng);
-    EXPECT_GE(dot(u, apply(*op_, *space_, u)), -1e-9);
+    EXPECT_GE(dot(u, apply_full(*op_, u)), -1e-9);
   }
 }
 
@@ -99,7 +95,7 @@ TEST_P(WaveOperatorTest, NullSpaceContainsConstantsOrTranslations) {
     std::vector<real_t> u(ndof_, 0.0);
     for (gindex_t g = 0; g < space_->num_global_nodes(); ++g)
       u[static_cast<std::size_t>(g) * static_cast<std::size_t>(nc) + static_cast<std::size_t>(c)] = 1.0;
-    const auto ku = apply(*op_, *space_, u);
+    const auto ku = apply_full(*op_, u);
     for (real_t v : ku) EXPECT_NEAR(v, 0.0, 1e-9);
   }
 }
@@ -127,13 +123,19 @@ TEST_P(WaveOperatorTest, MaskedAppliesSumToFullApply) {
 
   const auto st = core::build_lts_structure(*space_, levels);
 
+  // One level-k group over E(k) per level, applied group by group.
+  std::vector<BatchPlan::Group> groups;
+  for (level_t k = 1; k <= 2; ++k)
+    groups.push_back({st.eval_elems[static_cast<std::size_t>(k - 1)], k, st.node_level});
+  const BatchPlan plan(*space_, op_->ncomp(), std::move(groups));
   std::vector<real_t> sum(ndof_, 0.0);
   auto ws = op_->make_workspace();
-  for (level_t k = 1; k <= 2; ++k)
-    op_->apply_add_level(st.eval_elems[static_cast<std::size_t>(k - 1)], st.node_level.data(), k,
-                         u.data(), sum.data(), ws);
+  for (std::size_t g = 0; g < plan.num_groups(); ++g) {
+    const auto range = plan.group_blocks(g);
+    op_->apply_add_blocks(plan, range.first, range.last, u.data(), sum.data(), ws);
+  }
 
-  const auto full = apply(*op_, *space_, u);
+  const auto full = apply_full(*op_, u);
   for (std::size_t i = 0; i < ndof_; ++i)
     EXPECT_NEAR(sum[i], full[i], 1e-10 * std::max(1.0, std::abs(full[i]))) << "dof " << i;
 }
@@ -159,7 +161,7 @@ TEST(AcousticOperator, InteriorEquilibriumForLinearField) {
     const auto x = space.node_coord(g);
     u[static_cast<std::size_t>(g)] = 2 * x[0] - 3 * x[1] + 0.5 * x[2] + 1.0;
   }
-  const auto ku = apply(op, space, u);
+  const auto ku = apply_full(op, u);
   for (gindex_t g = 0; g < space.num_global_nodes(); ++g) {
     const auto x = space.node_coord(g);
     const bool interior = x[0] > 1e-9 && x[0] < 1 - 1e-9 && x[1] > 1e-9 && x[1] < 1 - 1e-9 &&
@@ -185,7 +187,7 @@ TEST(ElasticOperator, RigidRotationIsStressFree) {
     u[static_cast<std::size_t>(g) * 3 + 1] = -a * x[0] + c * x[2];
     u[static_cast<std::size_t>(g) * 3 + 2] = -b * x[0] - c * x[1];
   }
-  const auto ku = apply(op, space, u);
+  const auto ku = apply_full(op, u);
   for (real_t v : ku) EXPECT_NEAR(v, 0.0, 1e-9);
 }
 

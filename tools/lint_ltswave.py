@@ -34,6 +34,12 @@ compiler nor clang-tidy can check:
      anywhere else in src/ fail, so kernel and solver code stays written
      against simd::Vec only.
 
+  6. one resident metric copy — WaveOperator::full_plan() builds and pins
+     a full-mesh BatchPlan (every element's metric slabs) for the operator's
+     lifetime. Only the global-step Newmark path, which runs on that plan,
+     and the kernel calibration may call it in src/; an LTS solver calling
+     it would keep a second full-mesh metric copy beside its own level plan.
+
 Usage:
   tools/lint_ltswave.py [--root DIR]   lint the repo (exit 1 on violations)
   tools/lint_ltswave.py --self-test    verify each check fires on seeded
@@ -129,6 +135,18 @@ INTRINSICS_RE = re.compile(
     r"immintrin\.h|arm_neon\.h|__AVX512F__|__AVX2__|__ARM_NEON|__SSE2__|_mm\d*_\w+"
 )
 INTRINSICS_EXEMPT = {"src/common/simd.hpp"}
+
+# Files that may call full_plan(), mapped to the class the call must sit in
+# (None = anywhere in the file).
+FULL_PLAN_ALLOWED = {
+    "src/sem/wave_operator.hpp": None,  # declares it
+    "src/sem/wave_operator.cpp": None,  # defines it
+    "src/core/newmark.cpp": None,       # NewmarkSolver runs on it
+    "src/core/executor.cpp": "NewmarkExecutor",  # the Newmark run report's roofline
+    "src/perf/calibrate.cpp": None,     # kernel-speed calibration
+}
+FULL_PLAN_RE = re.compile(r"\bfull_plan\s*\(")
+CLASS_RE = re.compile(r"^(?:class|struct)\s+(\w+)")
 
 KEY_RE = re.compile(r'key\s*==\s*"([^"]+)"')
 KEY_DISPATCH_FILES = ["src/core/simulation.cpp", "src/scenarios/scenario.cpp"]
@@ -304,12 +322,35 @@ def check_intrinsics(root: Path) -> list[str]:
     return violations
 
 
+def check_full_plan(root: Path) -> list[str]:
+    violations = []
+    for path in src_files(root):
+        rel = path.relative_to(root).as_posix()
+        owner = None  # innermost top-level class seen so far
+        for ln, line in code_lines(path):
+            m = CLASS_RE.match(line)
+            if m:
+                owner = m.group(1)
+            if not FULL_PLAN_RE.search(line):
+                continue
+            if rel in FULL_PLAN_ALLOWED and FULL_PLAN_ALLOWED[rel] in (None, owner):
+                continue
+            violations.append(
+                f"{rel}:{ln}: full_plan() outside the Newmark path — it pins a second "
+                f"full-mesh metric copy; apply K through the caller's own BatchPlan "
+                f"(or a local plan it drops), or extend FULL_PLAN_ALLOWED in "
+                f"tools/lint_ltswave.py with a justification"
+            )
+    return violations
+
+
 CHECKS = [
     ("real_t discipline", check_real_t),
     ("lock discipline", check_sync_primitives),
     ("test registration", check_test_registration),
     ("config-key documentation", check_config_keys),
     ("intrinsics discipline", check_intrinsics),
+    ("one resident metric copy", check_full_plan),
 ]
 
 
@@ -367,6 +408,7 @@ def self_test() -> int:
         expect_clean("clean tests", check_test_registration(root))
         expect_clean("clean keys", check_config_keys(root))
         expect_clean("clean intrinsics", check_intrinsics(root))
+        expect_clean("clean full_plan", check_full_plan(root))
 
         # 1. real_t: a raw double in code (comments/strings must NOT count).
         _write(root, "src/core/bad_double.cpp", "double leak() { return 0.5; }\n")
@@ -434,6 +476,23 @@ def self_test() -> int:
         _write(root, "src/core/comment_only.cpp",
                "// see simd.hpp for the __AVX512F__ dispatch\nint g();\n")
         expect_clean("intrinsics-exempt", check_intrinsics(root))
+
+        # 6. full_plan: an LTS solver calling it fires; the Newmark files may,
+        # executor.cpp only inside NewmarkExecutor; comments do not count.
+        _write(root, "src/runtime/threaded_lts.cpp",
+               "void S::set_state() { op_->apply_add_blocks(op_->full_plan(), 0, n); }\n")
+        expect("full_plan", check_full_plan(root), "threaded_lts.cpp:1: full_plan()")
+        _write(root, "src/runtime/threaded_lts.cpp",
+               "// never call op_->full_plan() here\nvoid S::set_state();\n")
+        _write(root, "src/core/newmark.cpp", "auto& p = op_->full_plan();\n")
+        _write(root, "src/core/executor.cpp",
+               "class NewmarkExecutor {\n  void r() { roofline(op().full_plan()); }\n};\n"
+               "class ThreadedExecutor {\n  void r() { roofline(op().full_plan()); }\n};\n")
+        full_plan = check_full_plan(root)
+        expect("full_plan-class", full_plan, "executor.cpp:5: full_plan()")
+        if len(full_plan) != 1:
+            failures.append(f"full_plan-allowed: expected only the ThreadedExecutor call, "
+                            f"got {full_plan!r}")
 
     if failures:
         for f in failures:
