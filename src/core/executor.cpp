@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "common/timer.hpp"
-#include "core/integrator.hpp"
 #include "core/newmark.hpp"
 #include "core/simulation.hpp"
 #include "partition/feedback.hpp"
@@ -20,12 +19,6 @@
 namespace ltswave::core {
 
 namespace {
-
-/// The integrator the simulation config asks for (default Newmark when no
-/// config rides in the context — the standalone-solver construction path).
-Integrator integrator_for(const ExecutorContext& ctx) {
-  return ctx.cfg ? Integrator::parse(ctx.cfg->integrator) : Integrator::newmark();
-}
 
 /// Per-receiver trace accumulated by the Newmark adapter (the threaded
 /// backend keeps equivalent traces inside the solver, per owning rank).
@@ -66,12 +59,6 @@ public:
                   "executor '" << this->name() << "' needs a single-level census (got "
                                << ctx.levels->num_levels
                                << " levels) — build levels with assign_single_level");
-    // The stabilized substep rule only exists inside the LTS recursion; the
-    // single-level reference scheme IS plain Newmark, so any other request is
-    // a configuration error rather than something to silently ignore.
-    LTS_CHECK_MSG(integrator_for(ctx).kind() == IntegratorKind::Newmark,
-                  "executor '" << this->name() << "' only runs integrator=newmark (got '"
-                               << ctx.cfg->integrator << "') — pick an LTS backend");
     if (ctx.cfg) fault_ = ctx.cfg->fault;
   }
 
@@ -251,7 +238,7 @@ public:
       part_.part.assign(static_cast<std::size_t>(ctx.op->space().num_elems()), 0);
     }
     solver_ = std::make_unique<runtime::ThreadedLtsSolver>(*ctx.op, *ctx.levels, *ctx.structure,
-                                                           part_, scfg_, integrator_for(ctx));
+                                                           part_, scfg_);
     if (ctx.cfg && ctx.cfg->fault.armed()) solver_->set_fault(ctx.cfg->fault);
   }
 
@@ -340,8 +327,6 @@ private:
           solver_->cycles_done() * static_cast<std::int64_t>(level_rate(k)) *
           static_cast<std::int64_t>(
               ctx_.structure->eval_elems[static_cast<std::size_t>(k - 1)].size());
-    s.integrator = std::string(solver_->integrator().name());
-    s.integrator_aux = solver_->integrator().aux_state();
     s.frozen_forces = solver_->frozen_forces();
     s.cumulative = solver_->cumulative();
     return s;
@@ -386,8 +371,7 @@ private:
     part_ = partition::refine_with_feedback(*ctx_.mesh, ctx_.levels->elem_level,
                                             ctx_.levels->num_levels, part_, sig, pc);
     auto fresh = std::make_unique<runtime::ThreadedLtsSolver>(*ctx_.op, *ctx_.levels,
-                                                              *ctx_.structure, part_, scfg_,
-                                                              solver_->integrator());
+                                                              *ctx_.structure, part_, scfg_);
     fresh->adopt_state_from(*solver_);
     solver_ = std::move(fresh);
   }

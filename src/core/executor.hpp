@@ -119,14 +119,6 @@ struct ExecutorState {
   std::vector<real_t> v_half;
   real_t time = 0;
   real_t dt = 0; ///< the exporting backend's cycle step — restore sanity check
-  /// Canonical name of the time integrator that produced this state
-  /// ("newmark", "leapfrog-stab"; see core/integrator.hpp). A restore into a
-  /// simulation running a different integrator is rejected — the staggered
-  /// state layout is scheme-specific.
-  std::string integrator = "newmark";
-  /// Integrator-owned auxiliary state (empty for the built-in two-term
-  /// schemes; multi-stage integrators serialize their extra registers here).
-  std::vector<real_t> integrator_aux;
   std::int64_t cycles = 0;
   std::int64_t element_applies = 0;
   std::int64_t blocks_applied = 0;

@@ -22,10 +22,9 @@ std::vector<sem::BatchPlan::Group> level_groups(const LtsStructure& structure) {
 
 LtsNewmarkReference::LtsNewmarkReference(const sem::WaveOperator& op,
                                          const LevelAssignment& levels,
-                                         const LtsStructure& structure, Integrator integ)
+                                         const LtsStructure& structure)
     : op_(&op),
       levels_(&levels),
-      integ_(integ),
       dt_(levels.dt),
       ncomp_(op.ncomp()),
       plan_(op.space(), ncomp_, level_groups(structure)),
@@ -75,15 +74,15 @@ std::vector<real_t> LtsNewmarkReference::run_level(level_t k, const std::vector<
   for (int m = 0; m < 2; ++m) {
     const bool first = (m == 0);
     if (k == nl) {
-      const SubstepCoeffs cs = integ_.coeffs(k, nl, first, delta);
+      const real_t kick = first ? real_t(0.5) * delta : delta;
       auto F = apply_level(k, ut);
       for (std::size_t i = 0; i < F.size(); ++i) F[i] += frozen[i];
       for (std::size_t i = 0; i < ut.size(); ++i) {
         if (first)
-          vt[i] = -cs.kick * F[i];
+          vt[i] = -kick * F[i];
         else
-          vt[i] -= cs.kick * F[i];
-        ut[i] += cs.drift * vt[i];
+          vt[i] -= kick * F[i];
+        ut[i] += delta * vt[i];
       }
     } else {
       auto fk = apply_level(k, ut);

@@ -20,7 +20,6 @@
 
 #include <vector>
 
-#include "core/integrator.hpp"
 #include "core/lts_levels.hpp"
 #include "core/newmark.hpp"
 
@@ -30,7 +29,7 @@ namespace ltswave::core {
 class LtsNewmarkReference {
 public:
   LtsNewmarkReference(const sem::WaveOperator& op, const LevelAssignment& levels,
-                      const LtsStructure& structure, Integrator integ = Integrator::newmark());
+                      const LtsStructure& structure);
 
   void set_state(std::span<const real_t> u0, std::span<const real_t> v0);
   void step();
@@ -47,7 +46,6 @@ private:
 
   const sem::WaveOperator* op_;
   const LevelAssignment* levels_;
-  Integrator integ_;
   real_t dt_;
   real_t time_ = 0;
   int ncomp_;

@@ -5,7 +5,6 @@
 
 #include "common/kv.hpp"
 #include "core/executor.hpp"
-#include "core/integrator.hpp"
 #include "resilience/checkpoint.hpp"
 #include "resilience/error.hpp"
 #include "resilience/health_guard.hpp"
@@ -39,7 +38,6 @@ std::string to_string(const SimulationConfig& cfg) {
   // Opt-in keys print only when set, so configs that never touch them keep
   // the exact historical string (pinned in docs and reports). Defaults apply
   // to omitted keys on parse, so the round-trip guarantee holds either way.
-  if (!cfg.integrator.empty()) os << " integrator=" << cfg.integrator;
   if (cfg.scheduler.watchdog_seconds != 0)
     os << " scheduler.watchdog=" << kv::format_real(cfg.scheduler.watchdog_seconds);
   if (cfg.health_every != 0) os << " health-every=" << cfg.health_every;
@@ -69,10 +67,6 @@ bool try_simulation_config_key(SimulationConfig& cfg, std::string_view key,
     cfg.feedback_warmup_cycles = kv::parse_int_as<int>(key, value);
   } else if (key == "executor") {
     cfg.executor = value;
-  } else if (key == "integrator") {
-    // Validate and canonicalize eagerly: a typo should fail at parse time,
-    // and aliases ("stabilized-leapfrog") should not leak into checkpoints.
-    cfg.integrator = std::string(Integrator::parse(value).name());
   } else if (key == "oversubscribe" || key == "scheduler.oversubscribe") {
     cfg.scheduler.oversubscribe = runtime::parse_oversubscribe(value);
   } else if (key == "chunk" || key == "scheduler.chunk") {
@@ -104,7 +98,7 @@ bool try_simulation_config_key(SimulationConfig& cfg, std::string_view key,
 
 std::string_view simulation_config_keys_help() {
   return "order | physics | courant | max-levels | ranks | partitioner | feedback | "
-         "executor | integrator | [scheduler.]oversubscribe | [scheduler.]chunk | "
+         "executor | [scheduler.]oversubscribe | [scheduler.]chunk | "
          "[scheduler.]watchdog | health-every | "
          "fault.{kind,cycle,rank,stall-ms,seed}";
 }
@@ -282,15 +276,6 @@ void WaveSimulation::restore(const resilience::Checkpoint& ck, bool allow_dt_cha
                                               << dt()
                                               << " (pass allow_dt_change for deliberate "
                                                  "dt-changing restores, e.g. halve_dt recovery)");
-  // Cross-backend restores are fine; cross-*integrator* ones are not — the
-  // staggered (u, v^{t-dt/2}) pair means something different under each
-  // substep rule, so a silent swap would corrupt the physics.
-  if (Integrator::parse(ck.state.integrator) != Integrator::parse(cfg_.integrator))
-    LTS_RAISE(resilience::CheckpointMismatch,
-              "checkpoint was written by integrator '"
-                  << Integrator::parse(ck.state.integrator).name()
-                  << "', this simulation runs '" << Integrator::parse(cfg_.integrator).name()
-                  << "' — rebuild with the matching integrator= key");
   executor_->import_state(ck.state);
   for (std::size_t i = 0; i < receivers_.size(); ++i) {
     receivers_[i].reset_samples();

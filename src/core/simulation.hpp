@@ -62,12 +62,6 @@ struct SimulationConfig {
   int feedback_warmup_cycles = 0;
   /// Execution backend by ExecutorFactory name.
   std::string executor = "serial-lts";
-  /// Time-integrator name (core/integrator.hpp): "newmark" (default, also
-  /// selected by the empty string) or "leapfrog-stab" — the Grote/Michel/
-  /// Sauter stabilized leapfrog substep rule on the deepest LTS level.
-  /// Orthogonal to `executor`: every LTS backend honors it; the single-level
-  /// "newmark" backend rejects anything but the default.
-  std::string integrator;
   /// Health-guard cadence: -1 disables it, 0 (default) checks the state once
   /// at the end of every run() call — free relative to a run's kernel work —
   /// and N > 0 splits each run into N-cycle chunks checked individually.
@@ -82,8 +76,8 @@ struct SimulationConfig {
 ///  partitioner=scotch-p feedback=0 executor=serial-lts
 ///  scheduler.oversubscribe=forbid scheduler.chunk=0" — round-trips through
 /// parse_simulation_config exactly, scheduler.mode aside (it is no key).
-/// Opt-in keys (integrator, the resilience family) print only when set, so
-/// default configs keep this exact string.
+/// Opt-in keys (the resilience family) print only when set, so default
+/// configs keep this exact string.
 [[nodiscard]] std::string to_string(const SimulationConfig& cfg);
 
 /// Applies one `key=value` setting to `cfg`. Returns false when `key` is not

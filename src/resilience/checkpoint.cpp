@@ -138,8 +138,6 @@ template <class Ck, class Io> void visit_payload(Ck& ck, Io& io) {
   io.array(s.applies_per_level);
   io.list(s.frozen_forces, [&](auto& f) { io.array(f); });
   io.array(s.cumulative);
-  io.array(s.integrator);
-  io.array(s.integrator_aux);
   io.list(ck.traces, [&](auto& t) {
     io.array(t.times);
     io.array(t.values);

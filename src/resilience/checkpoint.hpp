@@ -29,8 +29,9 @@
 /// of passing the checksum and deserializing garbage numbers. Version 2
 /// added the arch tag plus the integrator name and aux-state payload fields;
 /// version 3 replaced the byte-serial FNV-1a checksum with XXH64 and left
-/// the layout alone. Version-1 and version-2 files are refused (CorruptInput,
-/// unsupported version).
+/// the layout alone; version 4 dropped the two integrator fields again with
+/// the integrator axis. Files of any earlier version are refused
+/// (CorruptInput, unsupported version).
 ///
 /// load() verifies magic, version, length, every field count against the
 /// bytes left, and the checksum, and throws CorruptInput naming what failed —
@@ -65,7 +66,7 @@
 namespace ltswave::resilience {
 
 struct Checkpoint {
-  static constexpr std::uint32_t kVersion = 3;
+  static constexpr std::uint32_t kVersion = 4;
 
   /// Registry name of the exporting backend — informational plus a mismatch
   /// diagnostic; restore onto any backend is allowed.

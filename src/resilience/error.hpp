@@ -15,9 +15,11 @@
 ///                         file:line context from the parser.
 ///  * CheckpointMismatch — a checkpoint file failed its magic/version/
 ///                         checksum/shape checks on load or restore.
-///  * InvalidConfig      — a scenario asks for something its physics cannot
-///                         provide (e.g. a receiver component out of range);
-///                         raised before any run starts, never retried.
+///  * InvalidConfig      — a scenario names an unknown key, scenario or mesh
+///                         generator, or asks for something its physics
+///                         cannot provide (e.g. a receiver component out of
+///                         range); raised before any run starts, never
+///                         retried.
 ///
 /// All of them derive from CheckFailure so the existing contract-boundary
 /// call sites (`catch (const CheckFailure&)`, `EXPECT_THROW(..,
@@ -61,8 +63,8 @@ public:
   using Error::Error;
 };
 
-/// A scenario field is out of range for the chosen physics; the message
-/// names the field, its value and the physics.
+/// A scenario name or field is unknown or out of range for the chosen
+/// physics; the message names the bad value and what is accepted.
 class InvalidConfig : public Error {
 public:
   using Error::Error;

@@ -15,14 +15,12 @@ namespace ltswave::runtime {
 ThreadedLtsSolver::ThreadedLtsSolver(const sem::WaveOperator& op,
                                      const core::LevelAssignment& levels,
                                      const core::LtsStructure& structure,
-                                     const partition::Partition& part, SchedulerConfig cfg,
-                                     core::Integrator integ)
+                                     const partition::Partition& part, SchedulerConfig cfg)
     : op_(&op),
       levels_(&levels),
       structure_(&structure),
       part_(&part),
       cfg_(cfg),
-      integ_(integ),
       nranks_(part.num_parts),
       ncomp_(op.ncomp()),
       dt_(levels.dt) {
@@ -746,7 +744,7 @@ void ThreadedLtsSolver::eval_phase(rank_t r, level_t k) {
 }
 
 void ThreadedLtsSolver::apply_rank_sources(const RankData& rd, level_t k, real_t t_src,
-                                           core::SubstepCoeffs cs, real_t* vel) {
+                                           real_t kick, real_t drift, real_t* vel) {
   // Post-correction of an update that ran without sources: the updates are
   // linear in F, so adding the source term S afterwards equals folding it
   // into F up to a last-ulp reassociation. S = -Minv f(t), so that
@@ -758,9 +756,9 @@ void ThreadedLtsSolver::apply_rank_sources(const RankData& rd, level_t k, real_t
       const std::size_t i = static_cast<std::size_t>(s.node) * static_cast<std::size_t>(ncomp_) +
                             static_cast<std::size_t>(c);
       const real_t S = -im * val * s.direction[static_cast<std::size_t>(c)];
-      const real_t dv = -cs.kick * S;
+      const real_t dv = -kick * S;
       vel[i] += dv;
-      u_[i] += cs.drift * dv;
+      u_[i] += drift * dv;
     }
   }
 }
@@ -785,9 +783,9 @@ void ThreadedLtsSolver::run_level(rank_t r, level_t k, real_t t0) {
   for (int m = 0; m < 2; ++m) {
     const bool first = (m == 0);
     if (k == nl) {
-      // The one integrator-dependent update: the deepest level's kick/drift
-      // pair (baseline {first ? delta/2 : delta, delta} for Newmark).
-      const core::SubstepCoeffs cs = integ_.coeffs(k, nl, first, delta);
+      // The deepest level's substep pair: kick delta/2 then delta (the
+      // staggered start), drift delta on both.
+      const real_t kick = first ? real_t(0.5) * delta : delta;
       eval_phase(r, k);
       if (in) {
         const WallTimer timer;
@@ -796,17 +794,17 @@ void ThreadedLtsSolver::run_level(rank_t r, level_t k, real_t t0) {
             const std::size_t i = static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c);
             const real_t F = cumulative_[i] + scratch_[i];
             if (first)
-              vt[i] = -cs.kick * F;
+              vt[i] = -kick * F;
             else
-              vt[i] -= cs.kick * F;
-            u_[i] += cs.drift * vt[i];
+              vt[i] -= kick * F;
+            u_[i] += delta * vt[i];
           }
         // Sources are sampled frozen at the cycle start (the midpoint rule;
         // see the file comment).
         double t_src = 0;
         if (has_sources) {
           const WallTimer src_timer;
-          apply_rank_sources(rd, k, t0, cs, vt.data());
+          apply_rank_sources(rd, k, t0, kick, delta, vt.data());
           t_src = src_timer.seconds();
           tally(rd, slot_sources(), t_src);
         }
@@ -863,9 +861,7 @@ void ThreadedLtsSolver::run_level(rank_t r, level_t k, real_t t0) {
       double t_src = 0;
       if (has_sources) {
         const WallTimer src_timer;
-        // Non-deepest collapsed updates always use the baseline coefficients,
-        // for every integrator.
-        apply_rank_sources(rd, k, t0, {first ? real_t(0.5) * delta : delta, delta}, vt.data());
+        apply_rank_sources(rd, k, t0, first ? real_t(0.5) * delta : delta, delta, vt.data());
         t_src = src_timer.seconds();
         tally(rd, slot_sources(), t_src);
       }
@@ -934,7 +930,7 @@ void ThreadedLtsSolver::thread_main(rank_t r, int cycles) {
       double t_src = 0, t_recv = 0;
       if (has_sources) {
         const WallTimer src_timer;
-        apply_rank_sources(rd, 1, t0, core::SubstepCoeffs{dt_, dt_}, v_.get());
+        apply_rank_sources(rd, 1, t0, dt_, dt_, v_.get());
         t_src = src_timer.seconds();
         tally(rd, slot_sources(), t_src);
       }

@@ -101,13 +101,9 @@ public:
     std::vector<real_t> values;
   };
 
-  /// `integ` selects the deepest-level substep rule (core/integrator.hpp);
-  /// the default reproduces the historical Newmark scheme bit-for-bit.
   ThreadedLtsSolver(const sem::WaveOperator& op, const core::LevelAssignment& levels,
                     const core::LtsStructure& structure, const partition::Partition& part,
-                    SchedulerConfig cfg = {}, core::Integrator integ = core::Integrator::newmark());
-
-  [[nodiscard]] const core::Integrator& integrator() const noexcept { return integ_; }
+                    SchedulerConfig cfg = {});
 
   /// Joins any workers still draining an abandoned (watchdog-timed-out)
   /// generation before the state buffers they touch are destroyed.
@@ -376,9 +372,9 @@ private:
   /// Folds this rank's level-k sources (sampled at t_src) into an update that
   /// already ran without them: vel (vt or v) and u are post-corrected by the
   /// linear terms a source adds to the force F, using the substep's own
-  /// kick/drift coefficients (the physical level-1 step passes {dt, dt} —
+  /// kick/drift coefficients (the physical level-1 step passes (dt, dt) —
   /// the leapfrog form v -= dt * F).
-  void apply_rank_sources(const RankData& rd, level_t k, real_t t_src, core::SubstepCoeffs cs,
+  void apply_rank_sources(const RankData& rd, level_t k, real_t t_src, real_t kick, real_t drift,
                           real_t* vel);
   void sample_receivers(const RankData& rd, real_t t);
 
@@ -387,7 +383,6 @@ private:
   const core::LtsStructure* structure_;
   const partition::Partition* part_;
   SchedulerConfig cfg_;
-  core::Integrator integ_;
   rank_t nranks_;
   int ncomp_;
   real_t dt_;

@@ -59,8 +59,8 @@ struct MeshSpec {
   mesh::Material mat{};          ///< bulk material (regions paint over it)
   std::string path;              ///< file: path to a save_mesh file
 
-  /// Builds the mesh; throws CheckFailure naming the known generators on an
-  /// unknown `generator`.
+  /// Builds the mesh; throws resilience::InvalidConfig naming the known
+  /// generators on an unknown `generator`.
   [[nodiscard]] mesh::HexMesh build() const;
 
   bool operator==(const MeshSpec&) const = default;
@@ -80,6 +80,9 @@ struct MaterialRegion {
 struct SourceSpec {
   std::array<real_t, 3> location = {0.5, 0.5, 0.5};
   real_t peak_frequency = 1.0;
+  /// Force direction, which make_simulation resolves against the physics:
+  /// the force vector for elastic, a scalar weight of |direction| for
+  /// acoustic.
   std::array<real_t, 3> direction = {0, 0, 1};
   real_t amplitude = 1.0;
   bool operator==(const SourceSpec&) const = default;
@@ -133,10 +136,6 @@ struct ScenarioSpec {
   level_t max_levels = 12;
   /// Executor registry name (see core::SimulationConfig::executor).
   std::string executor = "serial-lts";
-  /// Time-integrator name passthrough (`integrator=` key; see
-  /// core/integrator.hpp). Empty = newmark; "leapfrog-stab" runs the
-  /// stabilized-leapfrog substep rule on the deepest LTS level.
-  std::string integrator;
   /// Rank count of the threaded/<mode> executors (`ranks` key).
   rank_t num_ranks = 0;
   runtime::SchedulerConfig scheduler{};
@@ -163,7 +162,6 @@ struct ScenarioSpec {
   ScenarioSpec& with_physics(core::Physics p) { physics = p; return *this; }
   ScenarioSpec& with_courant(real_t c) { courant = c; return *this; }
   ScenarioSpec& with_executor(std::string name_) { executor = std::move(name_); return *this; }
-  ScenarioSpec& with_integrator(std::string name_) { integrator = std::move(name_); return *this; }
   ScenarioSpec& with_ranks(rank_t ranks) { num_ranks = ranks; return *this; }
   ScenarioSpec& with_cycles(real_t cycles) { duration_cycles = cycles; return *this; }
   /// Omitting nz keeps the scenario's registered vertical layer count
@@ -199,8 +197,9 @@ struct ScenarioSpec {
   /// initial-bump component is out of range for the physics.
   [[nodiscard]] std::unique_ptr<core::WaveSimulation> make_simulation() const;
 
-  /// Applies one `key=value` override; throws CheckFailure listing the
-  /// accepted keys on an unknown key or bad value.
+  /// Applies one `key=value` override; throws resilience::InvalidConfig
+  /// listing the accepted keys on an unknown key, CheckFailure on a bad
+  /// value.
   void apply_override(std::string_view key, std::string_view value);
 
   /// Applies a whole argv tail of `key=value` tokens.
@@ -222,7 +221,8 @@ struct ScenarioSpec {
 // --- registry --------------------------------------------------------------
 
 /// Returns a copy of the named scenario (callers mutate their copy freely);
-/// throws CheckFailure listing every registered name when unknown.
+/// throws resilience::InvalidConfig listing every registered name when
+/// unknown.
 [[nodiscard]] ScenarioSpec get(std::string_view name);
 
 [[nodiscard]] bool contains(std::string_view name);

@@ -49,10 +49,6 @@ struct Variant {
   int order = 2;
   std::string executor = kBaselineExecutor;
   bool with_source = false;
-  /// Time-integrator axis (core/integrator.hpp). Every LTS backend must
-  /// reproduce the serial-LTS baseline *under the same integrator*; the
-  /// single-level "newmark" backend only runs the default rule.
-  std::string integrator = "newmark";
 };
 
 /// The grid point as a ScenarioSpec: the registered conformance strip with
@@ -63,7 +59,6 @@ inline scenarios::ScenarioSpec make_spec(const Variant& v) {
   spec.physics = v.physics;
   spec.order = v.order;
   spec.executor = v.executor;
-  spec.integrator = v.integrator;
   spec.num_ranks = 4;
   spec.scheduler.oversubscribe = runtime::Oversubscribe::Warn;
   if (v.with_source) {
@@ -111,11 +106,10 @@ inline std::string alnum_case_name(std::string_view s) {
   return out;
 }
 
-/// Memoized serial-LTS baseline per (physics, order, with_source, integrator).
+/// Memoized serial-LTS baseline per (physics, order, with_source).
 inline const scenarios::RunResult& baseline(const Variant& like) {
-  static std::map<std::tuple<int, int, bool, std::string>, scenarios::RunResult> cache;
-  const auto key = std::make_tuple(static_cast<int>(like.physics), like.order, like.with_source,
-                                   like.integrator);
+  static std::map<std::tuple<int, int, bool>, scenarios::RunResult> cache;
+  const auto key = std::make_tuple(static_cast<int>(like.physics), like.order, like.with_source);
   auto it = cache.find(key);
   if (it == cache.end()) {
     Variant base = like;

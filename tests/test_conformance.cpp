@@ -3,10 +3,9 @@
 // enumerates the ExecutorFactory registry (minus the serial-LTS baseline),
 // so a newly registered backend — MPI, batched-kernel, GPU — is conformance-
 // tested the moment it registers. Axes: {acoustic, elastic} × orders {2, 4}
-// × every registered executor × {with, without point source} × time
-// integrator {newmark, leapfrog-stab}, each run end-to-end through the
-// declarative scenario API ("strip" scenario) and compared against the
-// serial-LTS baseline *under the same integrator*:
+// × every registered executor × {with, without point source}, each run
+// end-to-end through the declarative scenario API ("strip" scenario) and
+// compared against the serial-LTS baseline:
 //  * exact backends re-execute the *same scheme* — final state and receiver
 //    traces must agree to roundoff (1e-10 relative L2);
 //  * the non-LTS Newmark reference is a different second-order
@@ -31,22 +30,15 @@ constexpr double kRoundoffTol = 1e-10;
 constexpr double kDiscretizationTol = 0.12;
 
 class Conformance
-    : public testing::TestWithParam<
-          std::tuple<core::Physics, int, std::string, bool, std::string>> {};
+    : public testing::TestWithParam<std::tuple<core::Physics, int, std::string, bool>> {};
 
 TEST_P(Conformance, AgreesWithSerialLtsBaseline) {
-  const auto [physics, order, executor, with_source, integrator] = GetParam();
-  // The single-level reference backend IS plain Newmark; it rejects any other
-  // integrator by design (see NewmarkExecutor), so those grid points are
-  // vacuous rather than failing.
-  if (!is_exact(executor) && integrator != "newmark")
-    GTEST_SKIP() << executor << " only runs integrator=newmark";
+  const auto [physics, order, executor, with_source] = GetParam();
   Variant v;
   v.physics = physics;
   v.order = order;
   v.executor = executor;
   v.with_source = with_source;
-  v.integrator = integrator;
 
   const auto& base = baseline(v);
   ASSERT_GE(base.num_levels, 2) << "conformance scenario must exercise real LTS";
@@ -81,18 +73,16 @@ TEST_P(Conformance, AgreesWithSerialLtsBaseline) {
 }
 
 std::string case_name(const testing::TestParamInfo<Conformance::ParamType>& info) {
-  const auto [physics, order, executor, with_source, integrator] = info.param;
+  const auto [physics, order, executor, with_source] = info.param;
   return std::string(physics == core::Physics::Acoustic ? "Acoustic" : "Elastic") + "O" +
-         std::to_string(order) + alnum_case_name(executor) + (with_source ? "Src" : "NoSrc") +
-         alnum_case_name(integrator);
+         std::to_string(order) + alnum_case_name(executor) + (with_source ? "Src" : "NoSrc");
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, Conformance,
     testing::Combine(testing::Values(core::Physics::Acoustic, core::Physics::Elastic),
                      testing::Values(2, 4), testing::ValuesIn(compared_executors()),
-                     testing::Bool(),
-                     testing::Values(std::string("newmark"), std::string("leapfrog-stab"))),
+                     testing::Bool()),
     case_name);
 
 TEST(ConformanceSeismic, TrenchScenarioParityAcrossExactExecutors) {

@@ -193,9 +193,6 @@ resilience::Checkpoint small_checkpoint() {
   ck.state.applies_per_level = {8, 4};
   ck.state.frozen_forces = {{0.1, 0.2, 0.3}, {}};
   ck.state.cumulative = {0.1, 0.2, 0.3};
-  // Non-default integrator fields so the round trip exercises the v2 payload.
-  ck.state.integrator = "leapfrog-stab";
-  ck.state.integrator_aux = {0.5, -0.25};
   ck.traces = {{{0.0625, 0.125}, {1e-3, 2e-3}}, {{}, {}}};
   return ck;
 }
@@ -356,25 +353,28 @@ TEST(Checkpoint, SaveWritesExactlyTheSerializedImage) {
 }
 
 TEST(Checkpoint, Version2FilesAreRefused) {
-  // A v2 file has the same layout under an FNV-1a checksum; the version word
-  // alone must refuse it, before any checksum is computed.
-  auto v2 = resilience::serialize(small_checkpoint());
-  const std::uint32_t version = 2;
-  std::memcpy(v2.data() + 8, &version, sizeof version);
-  const char* needle = "unsupported checkpoint version 2";
-  try {
-    (void)resilience::deserialize(v2.data(), v2.size());
-    FAIL() << "expected CorruptInput";
-  } catch (const resilience::CorruptInput& e) {
-    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
-  }
-  const auto path = tmp_path("ltswave_ckpt_v2.ckpt");
-  write_file(path, v2);
-  try {
-    (void)resilience::load(path);
-    FAIL() << "expected CorruptInput";
-  } catch (const resilience::CorruptInput& e) {
-    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  // v2 (FNV-1a checksum) and v3 (XXH64) payloads carry two fields v4
+  // dropped; the version word alone must refuse them, before any checksum
+  // or field is read.
+  for (const std::uint32_t version : {2u, 3u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    auto old = resilience::serialize(small_checkpoint());
+    std::memcpy(old.data() + 8, &version, sizeof version);
+    const std::string needle = "unsupported checkpoint version " + std::to_string(version);
+    try {
+      (void)resilience::deserialize(old.data(), old.size());
+      FAIL() << "expected CorruptInput";
+    } catch (const resilience::CorruptInput& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    }
+    const auto path = tmp_path("ltswave_ckpt_v" + std::to_string(version) + ".ckpt");
+    write_file(path, old);
+    try {
+      (void)resilience::load(path);
+      FAIL() << "expected CorruptInput";
+    } catch (const resilience::CorruptInput& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    }
   }
 }
 
@@ -412,8 +412,6 @@ std::vector<std::pair<std::string, std::size_t>> small_checkpoint_counts() {
   for (std::size_t k = 0; k < s.frozen_forces.size(); ++k)
     array("frozen_forces[" + std::to_string(k) + "]", s.frozen_forces[k].size(), sizeof(real_t));
   array("cumulative", s.cumulative.size(), sizeof(real_t));
-  array("integrator", s.integrator.size(), 1);
-  array("integrator_aux", s.integrator_aux.size(), sizeof(real_t));
   list("traces");
   for (std::size_t i = 0; i < ck.traces.size(); ++i) {
     const std::string t = "traces[" + std::to_string(i) + "]";
@@ -569,51 +567,6 @@ TEST(CheckpointRestore, MismatchedShapeThrowsCheckpointMismatch) {
   auto ck2 = sim->checkpoint();
   ck2.traces.pop_back();
   EXPECT_THROW(sim->restore(ck2), resilience::CheckpointMismatch);
-}
-
-TEST(CheckpointRestore, IntegratorMismatchThrowsCheckpointMismatch) {
-  // The staggered (u, v_half) pair means something different under each
-  // substep rule, so a cross-integrator restore must be refused — in both
-  // directions.
-  auto newmark_spec = strip_spec("serial-lts");
-  auto stab_spec = newmark_spec;
-  stab_spec.integrator = "leapfrog-stab";
-
-  auto newmark_sim = newmark_spec.make_simulation();
-  newmark_sim->run(2 * newmark_sim->dt());
-  const auto newmark_ck = newmark_sim->checkpoint();
-  EXPECT_EQ(newmark_ck.state.integrator, "newmark");
-
-  auto stab_sim = stab_spec.make_simulation();
-  stab_sim->run(2 * stab_sim->dt());
-  const auto stab_ck = stab_sim->checkpoint();
-  EXPECT_EQ(stab_ck.state.integrator, "leapfrog-stab");
-
-  EXPECT_THROW(stab_sim->restore(newmark_ck), resilience::CheckpointMismatch);
-  EXPECT_THROW(newmark_sim->restore(stab_ck), resilience::CheckpointMismatch);
-  EXPECT_NO_THROW(stab_sim->restore(stab_ck));
-  EXPECT_NO_THROW(newmark_sim->restore(newmark_ck));
-}
-
-TEST(CheckpointRestore, LeapfrogStabSameBackendRestoreIsBitwise) {
-  // The bitwise-resume guarantee holds per integrator, not just for the
-  // default scheme.
-  auto spec = strip_spec("serial-lts");
-  spec.integrator = "leapfrog-stab";
-
-  auto ref = spec.make_simulation();
-  ref->run(6 * ref->dt());
-
-  auto half = spec.make_simulation();
-  half->run(3 * half->dt());
-  const auto ck = half->checkpoint();
-
-  auto resumed = spec.make_simulation();
-  resumed->restore(ck);
-  resumed->run(3 * resumed->dt());
-  ASSERT_EQ(resumed->u().size(), ref->u().size());
-  EXPECT_EQ(0, std::memcmp(resumed->u().data(), ref->u().data(),
-                           ref->u().size() * sizeof(real_t)));
 }
 
 TEST(CheckpointRestore, DtChangeNeedsExplicitOptIn) {

@@ -3,14 +3,17 @@
 // per-region materials) and the to_string/parse round-trips for
 // SchedulerConfig and SimulationConfig — including parse_scheduler_mode
 // exhaustiveness over kAllSchedulerModes and clear error messages for bad
-// CLI spellings.
+// CLI spellings — plus the stability of every registered scenario at its
+// registered settings.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 
+#include "conformance_utils.hpp"
 #include "core/executor.hpp"
+#include "cycle_energy.hpp"
 #include "resilience/error.hpp"
 #include "scenarios/scenario.hpp"
 
@@ -30,8 +33,8 @@ TEST(ScenarioRegistry, ListsBuiltinScenarios) {
 TEST(ScenarioRegistry, UnknownNameFailsListingRegistry) {
   try {
     (void)get("does-not-exist");
-    FAIL() << "expected CheckFailure";
-  } catch (const CheckFailure& e) {
+    FAIL() << "expected resilience::InvalidConfig";
+  } catch (const resilience::InvalidConfig& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("does-not-exist"), std::string::npos);
     EXPECT_NE(msg.find("trench"), std::string::npos) << "message should list the registry";
@@ -93,7 +96,9 @@ TEST(ScenarioSpec, FluentBuilderComposes) {
 TEST(ScenarioRun, EveryScenarioRunsUnderBothPhysics) {
   // Registered receivers, sources and bumps must make sense under either
   // physics: `physics=` is a plain override on every scenario. Vertical
-  // receivers resolve to u_z (elastic) or the scalar (acoustic).
+  // receivers resolve to u_z (elastic) or the scalar (acoustic), and a
+  // source's direction to the force vector (elastic) or its magnitude
+  // (acoustic) — trench's z-pointing force must not vanish under acoustic.
   for (const auto& name : names())
     for (const core::Physics physics : {core::Physics::Acoustic, core::Physics::Elastic}) {
       SCOPED_TRACE(name + " " + core::to_string(physics));
@@ -102,6 +107,10 @@ TEST(ScenarioRun, EveryScenarioRunsUnderBothPhysics) {
       EXPECT_EQ(r.trace_values.size(), spec.receivers.size());
       EXPECT_GT(r.end_time, 0);
       for (const real_t v : r.u) ASSERT_TRUE(std::isfinite(v));
+      real_t tmax = 0;
+      for (const auto& tv : r.trace_values)
+        for (const real_t x : tv) tmax = std::max(tmax, std::abs(x));
+      EXPECT_GT(tmax, 0) << "no receiver recorded a signal";
     }
 }
 
@@ -128,6 +137,34 @@ TEST(ScenarioRun, OutOfRangeComponentRaisesInvalidConfig) {
   bump.with_initial({.component = -2});
   expect_invalid(bump, "-2", "acoustic");
 }
+
+// Every registered scenario at its own physics, order and courant (n capped
+// at 8), sourceless, with a centred bump where it has no initial state. The
+// staggered cycle energy is an exact invariant of the LTS cycle map, so a
+// registered courant outside the recursion's stability limit shows up as a
+// drift far past roundoff within 200 cycles.
+class ScenarioStability : public testing::TestWithParam<std::string> {};
+
+TEST_P(ScenarioStability, HoldsTheCycleEnergyAtRegisteredSettings) {
+  auto spec = get(GetParam());
+  spec.with_mesh_resolution(std::min<index_t>(spec.mesh.n, 8));
+  spec.executor = "serial-lts";
+  spec.health_every = -1; // the drift, not the guard, reports a blow-up
+  spec.sources.clear();
+  spec.receivers.clear();
+  if (spec.initial.empty()) spec.initial.push_back({});
+  auto sim = spec.make_simulation();
+  const auto energy = stability::cycle_energies(*sim, 200);
+  // A non-positive start is a vacuous run, or one so unstable that its
+  // first cycles already swamp the energy in roundoff.
+  ASSERT_GT(energy.front(), 0) << "vacuous, or unstable from the first cycles";
+  EXPECT_LE(stability::max_relative_drift(energy), 1e-6);
+}
+
+INSTANTIATE_TEST_SUITE_P(Registry, ScenarioStability, testing::ValuesIn(names()),
+                         [](const testing::TestParamInfo<std::string>& info) {
+                           return conformance::alnum_case_name(info.param);
+                         });
 
 TEST(ScenarioSpec, MaterialRegionsPaintHeterogeneousMedia) {
   const auto spec = get("layered");
@@ -167,17 +204,33 @@ TEST(ScenarioSpec, CliOverridesApplyAndFailLoudly) {
   EXPECT_EQ(spec.mesh.n, 10);
   EXPECT_EQ(spec.executor, "threaded/barrier-all");
 
-  EXPECT_THROW(spec.apply_override("ordre", "3"), CheckFailure);
+  EXPECT_THROW(spec.apply_override("ordre", "3"), resilience::InvalidConfig);
   EXPECT_THROW(spec.apply_override("order", "three"), CheckFailure);
-  // The retired selector keys are unknown now: `executor=` is the one
-  // backend selector, and the error must teach the accepted keys.
-  for (const char* retired : {"lts", "scheduler", "scheduler.mode"}) {
+  // The retired keys are unknown now: `executor=` is the one backend
+  // selector, every LTS substep runs the one Newmark rule, and the error
+  // must name the bad key and teach the accepted ones.
+  const std::pair<const char*, const char*> retired[] = {
+      {"lts", "on"}, {"scheduler", "on"}, {"scheduler.mode", "on"},
+      {"integrator", "leapfrog-stab"}};
+  for (const auto& [key, value] : retired) {
     try {
-      spec.apply_override(retired, "on");
-      FAIL() << "expected CheckFailure for " << retired;
-    } catch (const CheckFailure& e) {
-      EXPECT_NE(std::string(e.what()).find("executor"), std::string::npos) << retired;
+      spec.apply_override(key, value);
+      FAIL() << "expected resilience::InvalidConfig for " << key;
+    } catch (const resilience::InvalidConfig& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(std::string("'") + key + "'"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("executor"), std::string::npos) << msg;
     }
+  }
+  // A generator name is checked where the mesh is built.
+  spec.apply_override("mesh", "sphere");
+  try {
+    (void)spec.build_mesh();
+    FAIL() << "expected resilience::InvalidConfig for mesh=sphere";
+  } catch (const resilience::InvalidConfig& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'sphere'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("trench-big"), std::string::npos) << msg;
   }
 }
 
@@ -189,7 +242,7 @@ TEST(ScenarioSpec, FromArgsSelectsScenarioThenOverrides) {
   const auto fallback = from_args(std::span<const char* const>{}, "strip");
   EXPECT_EQ(fallback.name, "strip");
   const char* bad[] = {"scenario=unknown-place"};
-  EXPECT_THROW((void)from_args(bad, "strip"), CheckFailure);
+  EXPECT_THROW((void)from_args(bad, "strip"), resilience::InvalidConfig);
 }
 
 // ---------------------------------------------------------------------------
