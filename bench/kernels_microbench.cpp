@@ -1,6 +1,5 @@
 // SEM kernel microbenchmarks (google-benchmark): per-element cost of the
-// acoustic and elastic stiffness application by polynomial order, the
-// conflict-free scatter coloring against plain strided blocks, and the
+// acoustic and elastic stiffness application by polynomial order and the
 // column-masked (LTS) block apply. These measurements anchor the cluster
 // simulator's machine model (see perf/calibrate.hpp).
 //
@@ -26,10 +25,8 @@
 // planes overstated bytes (and understated ai) by ~2x.
 //
 // Every BENCH_kernels.json carries the compiled SIMD backend in its context
-// ("simd_isa", "simd_width"), and BM_*ColoringDelta records the conflict-free
-// scatter coloring's measured effect against a Coloring::None plan of the same
-// group, so coloring_speedup numbers from different builds (avx512 / avx2 /
-// scalar CI job) are attributable to their backend.
+// ("simd_isa", "simd_width"), so numbers from different builds (avx512 /
+// avx2 / scalar CI job) are attributable to their backend.
 //
 // Unless --benchmark_out (or the shorthand --out=<path>) is given explicitly,
 // results are written as machine-readable JSON to BENCH_kernels.json so the
@@ -47,7 +44,6 @@
 #include <vector>
 
 #include "common/simd.hpp"
-#include "common/timer.hpp"
 #include "mesh/generators.hpp"
 #include "perf/roofline.hpp"
 #include "perf/run_report.hpp"
@@ -140,62 +136,6 @@ void BM_ElasticApply(benchmark::State& state) {
   set_plan_counters(state, plan);
 }
 BENCHMARK(BM_ElasticApply)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// Scatter coloring on/off: same element group, Coloring::ConflictFree
-// (vectorized scatter) vs Coloring::None (dense strided blocks, sequential
-// scatter). coloring_speedup > 1 means the conflict-free layout wins even
-// after paying its extra (ragged) blocks.
-// ---------------------------------------------------------------------------
-
-template <class Op>
-void coloring_delta(benchmark::State& state, int ncomp) {
-  KernelFixture f(static_cast<int>(state.range(0)));
-  Op op(*f.space);
-  auto ws = op.make_workspace();
-  auto make_plan = [&](sem::BatchPlan::Coloring c) {
-    sem::BatchPlan::Group g;
-    g.elems = f.all;
-    std::vector<sem::BatchPlan::Group> groups;
-    groups.push_back(std::move(g));
-    return sem::BatchPlan(*f.space, ncomp, std::move(groups), sem::BatchPlan::Fill::Now, c);
-  };
-  const sem::BatchPlan colored = make_plan(sem::BatchPlan::Coloring::ConflictFree);
-  const sem::BatchPlan strided = make_plan(sem::BatchPlan::Coloring::None);
-  std::vector<real_t> u(static_cast<std::size_t>(f.space->num_global_nodes()) *
-                            static_cast<std::size_t>(ncomp),
-                        1.0);
-  std::vector<real_t> out(u.size(), 0.0);
-  double t_colored = 0, t_strided = 0;
-  for (auto _ : state) {
-    {
-      const WallTimer t;
-      op.apply_add_blocks(strided, 0, strided.num_blocks(), u.data(), out.data(), ws);
-      t_strided += t.seconds();
-    }
-    {
-      const WallTimer t;
-      op.apply_add_blocks(colored, 0, colored.num_blocks(), u.data(), out.data(), ws);
-      t_colored += t.seconds();
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.counters["coloring_speedup"] =
-      benchmark::Counter(t_colored > 0 ? t_strided / t_colored : 0.0);
-  state.counters["colored_blocks"] = benchmark::Counter(static_cast<double>(colored.num_blocks()));
-  state.counters["strided_blocks"] = benchmark::Counter(static_cast<double>(strided.num_blocks()));
-  set_plan_counters(state, colored);
-}
-
-void BM_AcousticColoringDelta(benchmark::State& state) {
-  coloring_delta<sem::AcousticOperator>(state, 1);
-}
-BENCHMARK(BM_AcousticColoringDelta)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_ElasticColoringDelta(benchmark::State& state) {
-  coloring_delta<sem::ElasticOperator>(state, 3);
-}
-BENCHMARK(BM_ElasticColoringDelta)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Column-masked (LTS) apply
@@ -319,7 +259,7 @@ int main(int argc, char** argv) {
   int ac = static_cast<int>(args.size());
   benchmark::Initialize(&ac, args.data());
   // Tag the JSON (and the console header) with the compiled SIMD backend so
-  // per-backend coloring_speedup numbers are attributable.
+  // per-backend numbers are attributable.
   benchmark::AddCustomContext("simd_isa", std::string(simd::isa_name()));
   benchmark::AddCustomContext("simd_width", std::to_string(simd::kWidth));
   std::cout << "simd: " << simd::isa_name() << " width=" << simd::kWidth << "\n";

@@ -5,12 +5,11 @@
 ///
 /// `Vec<T, W>` is a W-lane value type providing exactly the operations the
 /// lane-interleaved block kernels need: unaligned load/store, broadcast,
-/// add/sub/mul, fused multiply-add, masked (partial) load/store for ragged
-/// block tails, indexed gather, and an indexed scatter-add for conflict-free
-/// blocks. The generic template is a plain array with per-lane loops — every
-/// width is instantiable on every target (the unit tests sweep W = 1/2/4/8) —
-/// and the ISA specializations below map Vec<double, W> onto native registers
-/// when the compiler targets that ISA.
+/// add/sub/mul, fused multiply-add, and masked (partial) load/store for
+/// ragged block tails. The generic template is a plain array with per-lane
+/// loops — every width is instantiable on every target (the unit tests sweep
+/// W = 1/2/4/8) — and the ISA specializations below map Vec<double, W> onto
+/// native registers when the compiler targets that ISA.
 ///
 /// `kWidth` is the dispatch width the kernels compile against, selected from
 /// the target ISA at compile time; `isa_name()` names the selected backend so
@@ -29,14 +28,6 @@
 /// fixed, so a given backend is bitwise reproducible run to run; *across*
 /// backends (scalar vs vector, or different widths) results agree to the
 /// usual cross-path kernel tolerance (1e-12 in the tests), not bitwise.
-///
-/// scatter_add requires the W indices of one call to be pairwise distinct
-/// (it is implemented as gather + add + scatter on ISAs without a native
-/// conflict-safe scatter). The BatchPlan's conflict-free coloring guarantees
-/// exactly this for block scatter rows.
-
-#include <cstddef>
-#include <cstdint>
 
 #include "common/types.hpp"
 
@@ -86,15 +77,6 @@ struct Vec {
     for (int i = 0; i < W; ++i)
       if (i < n) p[i] = lane[i];
   }
-  static Vec gather(const T* base, const gindex_t* idx) noexcept {
-    Vec r;
-    for (int i = 0; i < W; ++i) r.lane[i] = base[idx[i]];
-    return r;
-  }
-  /// base[idx[i]] += lane[i]; the W indices must be pairwise distinct.
-  void scatter_add(T* base, const gindex_t* idx) const noexcept {
-    for (int i = 0; i < W; ++i) base[idx[i]] += lane[i];
-  }
 
   friend Vec operator+(Vec a, Vec b) noexcept {
     Vec r;
@@ -122,8 +104,7 @@ struct Vec {
 };
 
 // ---------------------------------------------------------------------------
-// AVX-512: 8 x double on __m512d, native masked load/store and i64 gather/
-// scatter (the only ISA here with a true hardware scatter).
+// AVX-512: 8 x double on __m512d, native masked load/store.
 // ---------------------------------------------------------------------------
 #if !defined(LTSWAVE_SIMD_SCALAR) && defined(__AVX512F__)
 
@@ -143,18 +124,6 @@ struct Vec<double, 8> {
     const __mmask8 m = static_cast<__mmask8>((1u << n) - 1u);
     _mm512_mask_storeu_pd(p, m, v);
   }
-  static Vec gather(const double* base, const gindex_t* idx) noexcept {
-    // The masked form with an explicit zero source: the plain
-    // _mm512_i64gather_pd leaves its pass-through operand uninitialized in
-    // GCC's header, which -Wmaybe-uninitialized flags after inlining.
-    const __m512i vi = _mm512_loadu_si512(idx);
-    return {_mm512_mask_i64gather_pd(_mm512_setzero_pd(), 0xFF, vi, base, 8)};
-  }
-  void scatter_add(double* base, const gindex_t* idx) const noexcept {
-    const __m512i vi = _mm512_loadu_si512(idx);
-    const __m512d old = _mm512_mask_i64gather_pd(_mm512_setzero_pd(), 0xFF, vi, base, 8);
-    _mm512_i64scatter_pd(base, vi, _mm512_add_pd(old, v), 8);
-  }
 
   friend Vec operator+(Vec a, Vec b) noexcept { return {_mm512_add_pd(a.v, b.v)}; }
   friend Vec operator-(Vec a, Vec b) noexcept { return {_mm512_sub_pd(a.v, b.v)}; }
@@ -165,8 +134,7 @@ struct Vec<double, 8> {
 #endif // __AVX512F__
 
 // ---------------------------------------------------------------------------
-// AVX2: 4 x double on __m256d; masked moves via integer lane masks, i64
-// hardware gather, gather+scalar-store scatter-add.
+// AVX2: 4 x double on __m256d; masked moves via integer lane masks.
 // ---------------------------------------------------------------------------
 #if !defined(LTSWAVE_SIMD_SCALAR) && defined(__AVX2__)
 
@@ -187,18 +155,6 @@ struct Vec<double, 4> {
   }
   void store_partial(double* p, int n) const noexcept {
     _mm256_maskstore_pd(p, tail_mask(n), v);
-  }
-  static Vec gather(const double* base, const gindex_t* idx) noexcept {
-    const __m256i vi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-    return {_mm256_i64gather_pd(base, vi, 8)};
-  }
-  void scatter_add(double* base, const gindex_t* idx) const noexcept {
-    // No scatter instruction below AVX-512: gather + add keeps the sums in
-    // one vector op, the stores go out per lane.
-    const Vec sum = *this + gather(base, idx);
-    alignas(32) double tmp[4];
-    _mm256_store_pd(tmp, sum.v);
-    for (int i = 0; i < 4; ++i) base[idx[i]] = tmp[i];
   }
 
   friend Vec operator+(Vec a, Vec b) noexcept { return {_mm256_add_pd(a.v, b.v)}; }
@@ -234,16 +190,6 @@ struct Vec<double, 2> {
     double tmp[2];
     vst1q_f64(tmp, v);
     for (int i = 0; i < 2 && i < n; ++i) p[i] = tmp[i];
-  }
-  static Vec gather(const double* base, const gindex_t* idx) noexcept {
-    const double tmp[2] = {base[idx[0]], base[idx[1]]};
-    return {vld1q_f64(tmp)};
-  }
-  void scatter_add(double* base, const gindex_t* idx) const noexcept {
-    double tmp[2];
-    vst1q_f64(tmp, v);
-    base[idx[0]] += tmp[0];
-    base[idx[1]] += tmp[1];
   }
 
   friend Vec operator+(Vec a, Vec b) noexcept { return {vaddq_f64(a.v, b.v)}; }

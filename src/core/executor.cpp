@@ -280,7 +280,7 @@ private:
                       "fault.kind=" + resilience::to_string(ctx_.cfg->fault.kind)});
     };
     try {
-      solver_->run_cycles(static_cast<int>(cycles));
+      solver_->run_cycles(cycles);
     } catch (...) {
       note();
       throw;

@@ -873,7 +873,7 @@ void ThreadedLtsSolver::run_level(rank_t r, level_t k, real_t t0) {
   }
 }
 
-void ThreadedLtsSolver::thread_main(rank_t r, int cycles) {
+void ThreadedLtsSolver::thread_main(rank_t r, std::int64_t cycles) {
   const level_t nl = levels_->num_levels;
   auto& rd = ranks_[static_cast<std::size_t>(r)];
   const bool in = participates(r, 1);
@@ -883,7 +883,7 @@ void ThreadedLtsSolver::thread_main(rank_t r, int cycles) {
   // evaluation, else the frozen sum of every level's force.
   const real_t* force1 = nl > 1 ? cumulative_.data() : scratch_.get();
 
-  for (int cyc = 0; cyc < cycles; ++cyc) {
+  for (std::int64_t cyc = 0; cyc < cycles; ++cyc) {
     // Cycle start time from the integer cycle counter: identical however the
     // caller splits cycles over run_cycles calls. (The offset is nonzero only
     // after a checkpoint restore that changed dt — see adopt_raw_state.)
@@ -990,11 +990,11 @@ void ThreadedLtsSolver::maybe_inject_fault(const RankData& rd, rank_t r, std::in
        static_cast<std::size_t>(c)] = std::numeric_limits<real_t>::quiet_NaN();
 }
 
-double ThreadedLtsSolver::run_cycles(int cycles) {
+double ThreadedLtsSolver::run_cycles(std::int64_t cycles) {
   LTS_CHECK(cycles >= 0);
   if (cycles == 0) return 0.0;
   const WallTimer total;
-  const auto parallel = [&](int n) {
+  const auto parallel = [&](std::int64_t n) {
     if (pool_)
       pool_->run([this, n](int worker) { thread_main(static_cast<rank_t>(worker), n); },
                  cfg_.watchdog_seconds);
@@ -1009,7 +1009,7 @@ double ThreadedLtsSolver::run_cycles(int cycles) {
   if (fault_.kind == resilience::FaultPlan::Kind::Throw && fault_.armed() &&
       !fault_fired_.load(std::memory_order_relaxed) && fault_.cycle >= cycles_done_ &&
       fault_.cycle < cycles_done_ + cycles) {
-    const auto before = static_cast<int>(fault_.cycle - cycles_done_);
+    const std::int64_t before = fault_.cycle - cycles_done_;
     if (before > 0) parallel(before);
     fault_fired_.store(true, std::memory_order_relaxed);
     LTS_RAISE(resilience::Error,

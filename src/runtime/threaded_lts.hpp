@@ -171,7 +171,7 @@ public:
   /// Runs `cycles` LTS cycles on the persistent worker team — inline on the
   /// calling thread for a one-part partition; returns wall seconds. State
   /// (u, v, time, counters) carries over between calls.
-  double run_cycles(int cycles);
+  double run_cycles(std::int64_t cycles);
 
   /// Read-only views of the shared global state. Spans, not vectors: the
   /// backing arrays are first-touch-placed raw allocations (see the file
@@ -360,7 +360,7 @@ private:
     rd.phase_seconds[slot].fetch_add(seconds, std::memory_order_relaxed);
     rd.phase_count[slot].fetch_add(1, std::memory_order_relaxed);
   }
-  void thread_main(rank_t r, int cycles);
+  void thread_main(rank_t r, std::int64_t cycles);
   /// Fires the armed nan/stall fault when (cycle, r) matches the plan; called
   /// from the addressed rank's cycle-final update phase, where every row the
   /// rank owns is final for the cycle and single-writer (race-free).

@@ -213,7 +213,11 @@ void ScenarioSpec::apply_override(std::string_view key, std::string_view value) 
     return;
   }
   if (key == "cycles") {
-    duration_cycles = kv::parse_real(key, value);
+    const real_t cycles = kv::parse_real(key, value);
+    if (cycles < 0)
+      LTS_RAISE(resilience::InvalidConfig,
+                "scenario key '" << key << "' wants a cycle count >= 0, got '" << value << "'");
+    duration_cycles = cycles;
   } else if (key == "recovery.checkpoint-every" || key == "recovery.checkpoint_every") {
     recovery.checkpoint_every = kv::parse_int_as<std::int64_t>(key, value);
     LTS_CHECK_MSG(recovery.checkpoint_every >= 0,

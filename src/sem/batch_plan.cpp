@@ -4,10 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <tuple>
 #include <utility>
-
-#include "graph/csr_graph.hpp"
 
 namespace ltswave::sem {
 
@@ -28,71 +25,6 @@ bool elem_homogeneous_at(const SemSpace& space, index_t e, level_t level,
   for (int q = 0; q < npts; ++q)
     if (node_level[static_cast<std::size_t>(l2g[q])] != level) return false;
   return true;
-}
-
-/// Bins `elems` into groups of at most `width` pairwise node-disjoint
-/// elements: first-fit over the node-sharing conflict graph, in the caller's
-/// element order (deterministic — no hashing, no randomized tie-breaks). Two
-/// elements conflict when any global node appears in both of their
-/// local-to-global maps; elements of one bin therefore write disjoint global
-/// rows and the block scatter needs no lane-vs-lane conflict handling.
-std::vector<std::vector<index_t>> bin_conflict_free(const SemSpace& space,
-                                                    std::span<const index_t> elems, int width) {
-  const auto n = static_cast<index_t>(elems.size());
-  std::vector<std::vector<index_t>> bins;
-  if (n == 0) return bins;
-  const int npts = space.nodes_per_elem();
-
-  // Conflict edges via (global node, local element) incidence: sort by node,
-  // then every run of a shared node contributes its element pairs. A node of
-  // a conforming hex mesh is touched by at most 8 elements, so runs are tiny.
-  std::vector<std::pair<gindex_t, index_t>> touch;
-  touch.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(npts));
-  for (index_t i = 0; i < n; ++i) {
-    const gindex_t* l2g = space.elem_nodes(elems[static_cast<std::size_t>(i)]);
-    for (int q = 0; q < npts; ++q) touch.emplace_back(l2g[q], i);
-  }
-  std::sort(touch.begin(), touch.end());
-  std::vector<std::tuple<index_t, index_t, graph::weight_t>> edges;
-  for (std::size_t a = 0; a < touch.size();) {
-    std::size_t b = a + 1;
-    while (b < touch.size() && touch[b].first == touch[a].first) ++b;
-    for (std::size_t i = a; i < b; ++i)
-      for (std::size_t j = i + 1; j < b; ++j)
-        if (touch[i].second != touch[j].second)
-          edges.emplace_back(touch[i].second, touch[j].second, 1);
-    a = b;
-  }
-  // graph_from_edges symmetrizes and merges duplicates (face-sharing pairs
-  // emit one edge per shared node).
-  const graph::CsrGraph g = graph::graph_from_edges(n, edges);
-
-  // First-fit with capacity `width`. Strict color classes would strand
-  // near-empty blocks per color; capacity-bounded bins keep blocks full while
-  // preserving the no-shared-row invariant.
-  std::vector<index_t> bin_of(static_cast<std::size_t>(n), -1);
-  std::vector<index_t> forbidden_at; // bin -> last element that forbade it
-  for (index_t i = 0; i < n; ++i) {
-    for (const index_t nb : g.neighbors(i)) {
-      const index_t bn = bin_of[static_cast<std::size_t>(nb)];
-      if (bn >= 0) forbidden_at[static_cast<std::size_t>(bn)] = i;
-    }
-    index_t chosen = -1;
-    for (std::size_t bn = 0; bn < bins.size(); ++bn) {
-      if (forbidden_at[bn] != i && static_cast<int>(bins[bn].size()) < width) {
-        chosen = static_cast<index_t>(bn);
-        break;
-      }
-    }
-    if (chosen < 0) {
-      chosen = static_cast<index_t>(bins.size());
-      bins.emplace_back();
-      forbidden_at.push_back(-1);
-    }
-    bins[static_cast<std::size_t>(chosen)].push_back(elems[static_cast<std::size_t>(i)]);
-    bin_of[static_cast<std::size_t>(i)] = chosen;
-  }
-  return bins;
 }
 
 } // namespace
@@ -133,8 +65,7 @@ bool BatchPlan::elem_affine(const SemSpace& space, index_t e) {
   return nonlinear <= kAffineTol * linear;
 }
 
-BatchPlan::BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups, Fill fill,
-                     Coloring coloring)
+BatchPlan::BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups, Fill fill)
     : space_(&space),
       ncomp_(ncomp),
       width_(kernels::block_width_for(space.ref().nodes_1d())),
@@ -161,14 +92,12 @@ BatchPlan::BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups
 
   // Pass 1: block layout. Groups never share a block, so every block belongs
   // to one (group, level) and a group's blocks are contiguous in plan order.
-  const auto append_block = [&](index_t g, std::span<const index_t> belems,
-                                bool conflict_free) {
+  const auto append_block = [&](index_t g, std::span<const index_t> belems) {
     const auto& grp = groups_[static_cast<std::size_t>(g)];
     Block blk;
     blk.group = g;
     blk.fill = static_cast<int>(belems.size());
     blk.level = grp.level;
-    blk.conflict_free = conflict_free;
     if (grp.level > 0) {
       bool homogeneous = true;
       for (int l = 0; l < blk.fill && homogeneous; ++l)
@@ -196,35 +125,25 @@ BatchPlan::BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups
                                         static_cast<std::size_t>(space.num_global_nodes()),
                   "level-masked BatchPlan group needs node_level over all global nodes");
     BlockRange range{num_blocks(), num_blocks()};
-    if (coloring == Coloring::ConflictFree) {
-      // Bin the node-homogeneous elements of a masked group separately from
-      // the mixed ones: a bin mixing both kinds would need a mask slab for
-      // elements that don't, shrinking the mask-free fast path.
-      std::span<const index_t> all(grp.elems);
-      std::size_t split = all.size();
-      if (grp.level > 0) {
-        split = 0;
-        while (split < all.size() &&
-               elem_homogeneous_at(space, all[split], grp.level, grp.node_level))
-          ++split;
-        // Callers order homogeneous-first (order_homogeneous_first); if any
-        // homogeneous elements trail the first mixed one, keep them with the
-        // mixed segment — correctness never depends on the split.
-      }
-      for (const auto segment : {all.subspan(0, split), all.subspan(split)}) {
-        if (segment.empty()) continue;
-        for (const auto& bin : bin_conflict_free(space, segment, width_))
-          append_block(static_cast<index_t>(g), bin, /*conflict_free=*/true);
-      }
-    } else {
-      for (std::size_t at = 0; at < grp.elems.size(); at += static_cast<std::size_t>(width_)) {
-        const std::size_t fill =
-            std::min<std::size_t>(static_cast<std::size_t>(width_), grp.elems.size() - at);
-        append_block(static_cast<index_t>(g),
-                     std::span<const index_t>(grp.elems).subspan(at, fill),
-                     /*conflict_free=*/false);
-      }
+    // Chunk the node-homogeneous prefix of a masked group separately from
+    // its mixed remainder: a block straddling both would need a mask slab for
+    // elements that don't, shrinking the mask-free fast path.
+    std::span<const index_t> all(grp.elems);
+    std::size_t split = all.size();
+    if (grp.level > 0) {
+      split = 0;
+      while (split < all.size() &&
+             elem_homogeneous_at(space, all[split], grp.level, grp.node_level))
+        ++split;
+      // Callers order homogeneous-first (order_homogeneous_first); if any
+      // homogeneous elements trail the first mixed one, keep them with the
+      // mixed segment — correctness never depends on the split.
     }
+    const auto W = static_cast<std::size_t>(width_);
+    for (const auto segment : {all.subspan(0, split), all.subspan(split)})
+      for (std::size_t at = 0; at < segment.size(); at += W)
+        append_block(static_cast<index_t>(g),
+                     segment.subspan(at, std::min(W, segment.size() - at)));
     range.last = num_blocks();
     group_range_.push_back(range);
   }

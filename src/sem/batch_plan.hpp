@@ -44,19 +44,15 @@
 /// optimization (metric values agree to ~1e-14 relative, far inside every
 /// cross-path test tolerance).
 ///
-/// By default (Coloring::ConflictFree) the chunking is *conflict-free*: each
-/// group's elements are binned by first-fit over the element node-sharing
-/// conflict graph (built with the CSR graph layer), so no two real lanes of
-/// one block touch the same global mesh row. The scatter of such a block can
-/// then use SIMD indexed scatter-add with no lane-vs-lane conflict checking —
-/// within one q-row of the block, all gather indices are pairwise distinct.
-/// The binning is deterministic (first-fit over the caller's element order),
-/// so plan block order — and therefore the accumulation order every solver
-/// inherits — is run-to-run identical. Level-masked groups bin their
-/// node-homogeneous elements separately from the mixed ones so the mask-free
-/// fast path keeps whole blocks. Coloring::None reproduces the plain strided
-/// chunking (exactly the caller's order, only the last block per group
-/// ragged) for A/B measurement.
+/// Chunking is strided in the caller's element order, W lanes per block. A
+/// level-k group is chunked as two segments — its node-homogeneous prefix
+/// (order_homogeneous_first puts it there) and the mixed remainder — so the
+/// mask-free fast path keeps whole blocks; only the last block of each
+/// segment may be ragged. Real lanes of one block may share global mesh rows
+/// (face neighbours usually do): the operators scatter each block with one
+/// sequential loop, so block order — and with it the accumulation order every
+/// solver inherits — is a pure function of the caller's element order and
+/// run-to-run identical.
 ///
 /// Construction can defer the slab fill (Fill::Deferred) so a rank-parallel
 /// owner first-touches its own blocks from its own pool thread — the NUMA
@@ -110,16 +106,9 @@ public:
               ///< pages are first-touched by the thread that will use them
   };
 
-  enum class Coloring {
-    None,         ///< strided chunking in caller order (conflicting lanes OK)
-    ConflictFree, ///< first-fit conflict-graph binning: no two real lanes of
-                  ///< a block share a global mesh row (SIMD scatter safe)
-  };
-
   /// `ncomp` selects which metric slabs the plan materializes: 1 builds the
   /// fused acoustic G planes, 3 builds the elastic jinv/wjinv planes.
-  BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups,
-            Fill fill = Fill::Now, Coloring coloring = Coloring::ConflictFree);
+  BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups, Fill fill = Fill::Now);
 
   [[nodiscard]] const SemSpace& space() const noexcept { return *space_; }
   [[nodiscard]] int ncomp() const noexcept { return ncomp_; }
@@ -144,13 +133,6 @@ public:
   /// LTS level the block's group was built for (0 = unmasked).
   [[nodiscard]] level_t block_level(index_t b) const noexcept {
     return blocks_[static_cast<std::size_t>(b)].level;
-  }
-  /// True when the block was built conflict-free: its real lanes share no
-  /// global mesh row, so within every q-row of the gather slab the indices of
-  /// real lanes are pairwise distinct and the scatter may run as an
-  /// unchecked SIMD scatter-add.
-  [[nodiscard]] bool block_conflict_free(index_t b) const noexcept {
-    return blocks_[static_cast<std::size_t>(b)].conflict_free;
   }
   /// Total elements (real lanes) across blocks [b0, b1).
   [[nodiscard]] std::int64_t elements_in(index_t b0, index_t b1) const noexcept;
@@ -227,7 +209,6 @@ private:
     int fill = 0;                 ///< real lanes
     level_t level = 0;            ///< 0 = unmasked
     bool affine = false;          ///< compact separable metric
-    bool conflict_free = false;   ///< real lanes share no global mesh row
     std::ptrdiff_t mask_off = -1; ///< into mask_, -1 = homogeneous/unmasked
     std::size_t metric_off = 0;   ///< into metric_
   };

@@ -1,7 +1,5 @@
 #include "sem/wave_operator.hpp"
 
-#include "common/simd.hpp"
-
 namespace ltswave::sem {
 
 KernelWorkspace::KernelWorkspace(const SemSpace& space, int ncomp) {
@@ -87,24 +85,12 @@ void AcousticOperator::apply_add_blocks(const BatchPlan& plan, index_t b0, index
       block_kernel_(n1, W, D, plan.gmat(b), kap, ul, ol, s1, s2, s3);
 
     // Scatter real lanes only (padded tail lanes replicate a real element and
-    // would double-count). Conflict-free blocks guarantee pairwise-distinct
-    // indices within each q-row, so the scatter-add runs unchecked at vector
-    // width; otherwise lanes can share global rows and the loop stays scalar.
+    // would double-count). Lanes of one block may share global rows, so the
+    // scatter is one sequential loop in fixed (q, lane) order.
     const int ne = plan.block_fill(b);
-    if (plan.block_conflict_free(b)) {
-      using V = simd::RealVec;
-      constexpr int VW = simd::kWidth;
-      for (int q = 0; q < npts; ++q) {
-        const int base = q * W;
-        int l = 0;
-        for (; l + VW <= ne; l += VW) V::load(ol + base + l).scatter_add(out, gth + base + l);
-        for (; l < ne; ++l) out[gth[base + l]] += ol[base + l];
-      }
-    } else {
-      for (int q = 0; q < npts; ++q) {
-        const int base = q * W;
-        for (int l = 0; l < ne; ++l) out[gth[base + l]] += ol[base + l];
-      }
+    for (int q = 0; q < npts; ++q) {
+      const int base = q * W;
+      for (int l = 0; l < ne; ++l) out[gth[base + l]] += ol[base + l];
     }
   }
 }
@@ -178,39 +164,16 @@ void ElasticOperator::apply_add_blocks(const BatchPlan& plan, index_t b0, index_
     else
       block_kernel_(n1, W, D, plan.jinv(b), plan.wjinv(b), lam, mu, ul, ol, gr);
 
-    // As in the acoustic scatter: conflict-free blocks take the unchecked
-    // SIMD scatter-add (per-component, with the row index rescaled to the
-    // 3-interleaved layout), everything else stays scalar.
+    // As in the acoustic scatter, with the row index rescaled to the
+    // 3-interleaved layout.
     const int ne = plan.block_fill(b);
-    if (plan.block_conflict_free(b)) {
-      using V = simd::RealVec;
-      constexpr int VW = simd::kWidth;
-      alignas(64) gindex_t idx3[simd::kWidth];
-      for (int q = 0; q < npts; ++q) {
-        const int base = q * W;
-        int l = 0;
-        for (; l + VW <= ne; l += VW) {
-          for (int i = 0; i < VW; ++i) idx3[i] = gth[base + l + i] * 3;
-          V::load(ol[0] + base + l).scatter_add(out, idx3);
-          V::load(ol[1] + base + l).scatter_add(out + 1, idx3);
-          V::load(ol[2] + base + l).scatter_add(out + 2, idx3);
-        }
-        for (; l < ne; ++l) {
-          const std::size_t o = static_cast<std::size_t>(gth[base + l]) * 3;
-          out[o] += ol[0][base + l];
-          out[o + 1] += ol[1][base + l];
-          out[o + 2] += ol[2][base + l];
-        }
-      }
-    } else {
-      for (int q = 0; q < npts; ++q) {
-        const int base = q * W;
-        for (int l = 0; l < ne; ++l) {
-          const std::size_t o = static_cast<std::size_t>(gth[base + l]) * 3;
-          out[o] += ol[0][base + l];
-          out[o + 1] += ol[1][base + l];
-          out[o + 2] += ol[2][base + l];
-        }
+    for (int q = 0; q < npts; ++q) {
+      const int base = q * W;
+      for (int l = 0; l < ne; ++l) {
+        const std::size_t o = static_cast<std::size_t>(gth[base + l]) * 3;
+        out[o] += ol[0][base + l];
+        out[o + 1] += ol[1][base + l];
+        out[o + 2] += ol[2][base + l];
       }
     }
   }

@@ -4,7 +4,7 @@
 // compact-affine metrics, unmasked and level-masked plans with ragged tail
 // blocks — must reproduce a test-only dense element stiffness assembled
 // directly from the GLL basis to 1e-12, for orders 1-8 and both physics.
-// Plus plan-layout invariants (conflict-free lanes, mask slabs) and an
+// Plus plan-layout invariants (caller-order chunking, mask slabs) and an
 // energy-conservation smoke test driving the one-rank LTS engine.
 //
 // SIMD backend coverage: the block kernels run on the simd::Vec lane layer
@@ -293,9 +293,11 @@ BatchPlan level_plan(const SemSpace& space, int ncomp, const core::LtsStructure&
 /// through the operator's full-mesh plan and the level-restricted applies
 /// through a solver-style level plan, in both kernel modes, at 1e-12. The
 /// sweep meshes have 36 elements, so every block width (8/16/32) gets a
-/// ragged tail block; `expect_affine` asserts which metric form the plans
-/// chose (compact separable constants on parallelepiped meshes, full planes
-/// on warped ones), guaranteeing both kernel variants are exercised.
+/// ragged tail block, and caller-order chunking puts face neighbours into one
+/// block, so the scatter accumulates lanes that share global rows.
+/// `expect_affine` asserts which metric form the plans chose (compact
+/// separable constants on parallelepiped meshes, full planes on warped ones),
+/// guaranteeing both kernel variants are exercised.
 template <class Op>
 void matches_dense_reference(const mesh::HexMesh& m, int order, bool expect_affine) {
   SemSpace space(m, order);
@@ -315,12 +317,20 @@ void matches_dense_reference(const mesh::HexMesh& m, int order, bool expect_affi
     const char* label = mode == KernelMode::Auto ? "specialized" : "generic";
 
     const BatchPlan& fp = op.full_plan();
-    bool ragged = false, affine = false, full_metric = false;
+    bool ragged = false, shared = false, affine = false, full_metric = false;
     for (index_t b = 0; b < fp.num_blocks(); ++b) {
       ragged = ragged || fp.block_fill(b) < fp.width();
       (fp.block_affine(b) ? affine : full_metric) = true;
+      // An element's own nodes are distinct, so a repeat is two real lanes
+      // sharing a global row.
+      std::set<gindex_t> seen;
+      const index_t* be = fp.block_elems(b);
+      for (int l = 0; l < fp.block_fill(b) && !shared; ++l)
+        for (int q = 0; q < space.nodes_per_elem() && !shared; ++q)
+          shared = !seen.insert(space.elem_nodes(be[l])[q]).second;
     }
     EXPECT_TRUE(ragged) << "sweep must cover a ragged tail block";
+    EXPECT_TRUE(shared) << "sweep must cover a block whose lanes share a global row";
     EXPECT_EQ(affine, expect_affine) << "order " << order;
     EXPECT_EQ(full_metric, !expect_affine) << "order " << order;
 
@@ -401,45 +411,19 @@ TEST(Kernels, BatchedGenericModeMatchesSpecialized) {
   }
 }
 
-TEST(Kernels, ConflictFreeBlocksShareNoMeshRow) {
-  // The invariant the vectorized scatter relies on: within one conflict-free
-  // block, the real lanes touch pairwise-disjoint global node sets, so the
-  // per-row scatter_add never lands two lanes on the same mesh row.
-  for (const bool warped : {false, true}) {
-    const auto m = make_sweep_mesh(warped);
-    SemSpace space(m, 3);
-    BatchPlan::Group g;
-    g.elems = all_elems(space);
-    const BatchPlan plan(space, 1, {g});
-    const int npts = space.nodes_per_elem();
-    index_t conflict_free = 0;
-    for (index_t b = 0; b < plan.num_blocks(); ++b) {
-      if (!plan.block_conflict_free(b)) continue;
-      ++conflict_free;
-      std::set<gindex_t> seen;
-      const index_t* be = plan.block_elems(b);
-      for (int l = 0; l < plan.block_fill(b); ++l)
-        for (int q = 0; q < npts; ++q) {
-          const gindex_t node = space.elem_nodes(be[l])[q];
-          EXPECT_TRUE(seen.insert(node).second)
-              << "block " << b << " lane " << l << " shares node " << node;
-        }
-    }
-    // A shared-node mesh cannot be binned without splits, so the default
-    // coloring must actually have produced conflict-free blocks.
-    EXPECT_EQ(conflict_free, plan.num_blocks());
-    EXPECT_GT(conflict_free, 0);
-  }
-}
-
-TEST(Kernels, ConflictFreeBinningPermutesButCoversTheGroup) {
-  // Binning may reorder and split, but never drops or duplicates an element,
-  // and it is deterministic: two constructions give the identical layout.
+TEST(Kernels, PlanChunksEachGroupInCallerOrder) {
+  // Every group is chunked in the caller's element order, W lanes per block.
+  // A level-k group chunks its node-homogeneous prefix and its mixed
+  // remainder separately, so only the last block of each segment is ragged.
+  // The layout is a pure function of the groups: two constructions agree.
   const auto m = make_sweep_mesh(true);
   SemSpace space(m, 4);
   const auto st = two_level_structure(m, space);
   auto make_groups = [&] {
     std::vector<BatchPlan::Group> groups;
+    BatchPlan::Group all; // unmasked: one segment
+    all.elems = all_elems(space);
+    groups.push_back(std::move(all));
     for (level_t k = 1; k <= 2; ++k) {
       BatchPlan::Group g;
       g.elems = order_homogeneous_first(space, st.eval_elems[static_cast<std::size_t>(k - 1)],
@@ -450,33 +434,49 @@ TEST(Kernels, ConflictFreeBinningPermutesButCoversTheGroup) {
     }
     return groups;
   };
-  const BatchPlan colored(space, 1, make_groups(), BatchPlan::Fill::Now,
-                          BatchPlan::Coloring::ConflictFree);
-  const BatchPlan strided(space, 1, make_groups(), BatchPlan::Fill::Now,
-                          BatchPlan::Coloring::None);
-  const BatchPlan again(space, 1, make_groups(), BatchPlan::Fill::Now,
-                        BatchPlan::Coloring::ConflictFree);
+  const auto groups = make_groups();
+  const BatchPlan plan(space, 1, make_groups());
+  const BatchPlan again(space, 1, make_groups());
+  const auto W = static_cast<std::size_t>(plan.width());
+  auto homogeneous = [&](index_t e, level_t k) {
+    const gindex_t* l2g = space.elem_nodes(e);
+    for (int q = 0; q < space.nodes_per_elem(); ++q)
+      if (st.node_level[static_cast<std::size_t>(l2g[q])] != k) return false;
+    return true;
+  };
 
-  ASSERT_EQ(colored.num_groups(), strided.num_groups());
-  for (std::size_t gi = 0; gi < colored.num_groups(); ++gi) {
-    auto elems_of = [gi](const BatchPlan& p) {
-      std::vector<index_t> v;
-      const auto range = p.group_blocks(gi);
-      for (index_t b = range.first; b < range.last; ++b) {
-        const index_t* be = p.block_elems(b);
-        v.insert(v.end(), be, be + p.block_fill(b));
-      }
-      return v;
-    };
-    std::vector<index_t> a = elems_of(colored), b = elems_of(strided);
-    EXPECT_EQ(a, elems_of(again)) << "group " << gi << ": binning not deterministic";
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b) << "group " << gi << ": binning changed the covered element set";
+  ASSERT_EQ(plan.num_groups(), groups.size());
+  bool split_seen = false;
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    const auto& grp = groups[gi];
+    // End of the node-homogeneous prefix (the whole group when unmasked).
+    std::size_t split = grp.elems.size();
+    if (grp.level > 0) {
+      split = 0;
+      while (split < grp.elems.size() && homogeneous(grp.elems[split], grp.level)) ++split;
+      split_seen = split_seen || (split > 0 && split < grp.elems.size());
+    }
+    std::vector<index_t> listed;
+    const auto range = plan.group_blocks(gi);
+    for (index_t b = range.first; b < range.last; ++b) {
+      const std::size_t at = listed.size();
+      const std::size_t segment_end = at < split ? split : grp.elems.size();
+      EXPECT_EQ(static_cast<std::size_t>(plan.block_fill(b)), std::min(W, segment_end - at))
+          << "group " << gi << " block " << b;
+      const index_t* be = plan.block_elems(b);
+      listed.insert(listed.end(), be, be + plan.block_fill(b));
+    }
+    EXPECT_EQ(listed, grp.elems) << "group " << gi << ": blocks must list the caller's order";
   }
-  // Coloring::None keeps the legacy dense layout and reports no guarantee.
-  for (index_t b = 0; b < strided.num_blocks(); ++b)
-    EXPECT_FALSE(strided.block_conflict_free(b));
+  EXPECT_TRUE(split_seen) << "a level group must have both a homogeneous and a mixed segment";
+
+  ASSERT_EQ(again.num_blocks(), plan.num_blocks());
+  for (index_t b = 0; b < plan.num_blocks(); ++b) {
+    EXPECT_EQ(again.block_fill(b), plan.block_fill(b)) << "block " << b;
+    EXPECT_TRUE(std::equal(plan.block_elems(b), plan.block_elems(b) + W, again.block_elems(b)))
+        << "block " << b;
+    EXPECT_EQ(again.mask(b) == nullptr, plan.mask(b) == nullptr) << "block " << b;
+  }
 }
 
 TEST(Kernels, ExoticOrderFallsBackToGeneric) {

@@ -296,13 +296,12 @@ TEST(DocSync, DocsTreeLinkedFromReadme) {
 }
 
 TEST(DocSync, PerformanceDocPinsTheSimdSurface) {
-  // docs/performance.md documents the SIMD layer and scatter coloring; if the
-  // CMake knob, the report keys, or the coloring API are renamed, the doc
-  // must follow.
+  // docs/performance.md documents the SIMD layer and the block scatter; if
+  // the CMake knob, the report keys, or the plan-layout API are renamed, the
+  // doc must follow.
   const std::string doc = read_doc("docs/performance.md");
-  for (const char* needle :
-       {"LTSWAVE_SIMD", "src/common/simd.hpp", "simd_isa", "simd_width",
-        "block_conflict_free()", "Coloring::None", "coloring_speedup"})
+  for (const char* needle : {"LTSWAVE_SIMD", "src/common/simd.hpp", "simd_isa", "simd_width",
+                             "order_homogeneous_first", "block_fill()"})
     EXPECT_NE(doc.find(needle), std::string::npos)
         << "docs/performance.md must mention " << needle;
 }

@@ -632,6 +632,17 @@ TEST(FaultInjection, ThrowFaultRaisesResilienceErrorAtTheAddressedCycle) {
   }
 }
 
+TEST(FaultInjection, CycleCountsBeyondIntRangeRunUntruncated) {
+  // 2^32 coarse cycles: a count narrowed to int would run zero cycles and
+  // return silently; the full count reaches the armed fault at cycle 1.
+  auto spec = strip_spec("serial-lts");
+  spec.fault.kind = resilience::FaultPlan::Kind::Throw;
+  spec.fault.cycle = 1;
+  auto sim = spec.make_simulation();
+  EXPECT_THROW(sim->executor().advance_cycles(std::int64_t{1} << 32), resilience::Error);
+  EXPECT_EQ(sim->cycles(), 1);
+}
+
 TEST(FaultInjection, WatchdogTurnsStallIntoWorkerStall) {
   auto spec = strip_spec("threaded/level-aware");
   spec.fault.kind = resilience::FaultPlan::Kind::Stall;

@@ -206,6 +206,7 @@ TEST(ScenarioSpec, CliOverridesApplyAndFailLoudly) {
 
   EXPECT_THROW(spec.apply_override("ordre", "3"), resilience::InvalidConfig);
   EXPECT_THROW(spec.apply_override("order", "three"), CheckFailure);
+  EXPECT_THROW(spec.apply_override("cycles", "-4"), resilience::InvalidConfig);
   // The retired keys are unknown now: `executor=` is the one backend
   // selector, every LTS substep runs the one Newmark rule, and the error
   // must name the bad key and teach the accepted ones.

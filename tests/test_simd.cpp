@@ -1,16 +1,15 @@
 /// \file test_simd.cpp
 /// Unit tests for the explicit SIMD layer (common/simd.hpp): load/store and
-/// masked-tail round-trips, fma against the scalar reference at <= 1 ulp,
-/// gather/scatter-add against hand-built indices — swept over every width the
-/// dispatch chain can select (1/2/4/8), so the generic template and whichever
-/// ISA specialization this binary compiled with are all exercised.
+/// masked-tail round-trips and fma against the scalar reference at <= 1 ulp —
+/// swept over every width the dispatch chain can select (1/2/4/8), so the
+/// generic template and whichever ISA specialization this binary compiled
+/// with are all exercised.
 
 #include "common/simd.hpp"
 
 #include <cmath>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -83,32 +82,6 @@ void expect_arithmetic_and_fma() {
   }
 }
 
-template <int W>
-void expect_gather_scatter() {
-  using V = simd::Vec<real_t, W>;
-  std::vector<real_t> base(64);
-  for (std::size_t g = 0; g < base.size(); ++g) base[g] = lane_value(static_cast<int>(g));
-  // Hand indices: distinct, non-monotone, spread across the base array.
-  gindex_t idx[8] = {5, 63, 0, 17, 42, 9, 30, 21};
-
-  real_t got[W];
-  V::gather(base.data(), idx).store(got);
-  for (int i = 0; i < W; ++i)
-    EXPECT_EQ(got[i], base[static_cast<std::size_t>(idx[i])]) << "W=" << W << " lane " << i;
-
-  // scatter_add with pairwise-distinct indices accumulates exactly.
-  std::vector<real_t> acc(base);
-  real_t add[W];
-  for (int i = 0; i < W; ++i) add[i] = 0.5 + static_cast<real_t>(i);
-  V::load(add).scatter_add(acc.data(), idx);
-  for (std::size_t g = 0; g < acc.size(); ++g) {
-    real_t want = base[g];
-    for (int i = 0; i < W; ++i)
-      if (idx[i] == static_cast<gindex_t>(g)) want += add[i];
-    EXPECT_EQ(acc[g], want) << "W=" << W << " slot " << g;
-  }
-}
-
 TEST(Simd, LoadStoreRoundtripAllWidths) {
   expect_load_store_roundtrip<1>();
   expect_load_store_roundtrip<2>();
@@ -128,13 +101,6 @@ TEST(Simd, FmaMatchesScalarReferenceWithinOneUlp) {
   expect_arithmetic_and_fma<2>();
   expect_arithmetic_and_fma<4>();
   expect_arithmetic_and_fma<8>();
-}
-
-TEST(Simd, GatherAndScatterAddAgainstHandIndices) {
-  expect_gather_scatter<1>();
-  expect_gather_scatter<2>();
-  expect_gather_scatter<4>();
-  expect_gather_scatter<8>();
 }
 
 TEST(Simd, DispatchWidthAndIsaNameAreConsistent) {

@@ -393,9 +393,10 @@ TEST(Threaded, StealChunksAlignToBlocksAndStayBitwiseDeterministic) {
     solver.set_state(zero, zero);
     if (run == 0) {
       // Every rank/level block range is well-formed and covers the rank's
-      // eval list exactly (blocks never split or straddle ranks). Conflict-free
-      // binning may leave blocks ragged, so the range can hold more than
-      // ceil(elems / W) blocks — but the fills must sum to the eval list.
+      // eval list exactly (blocks never split or straddle ranks). The
+      // homogeneous/mixed split may leave a ragged block mid-group, so the
+      // range can hold more than ceil(elems / W) blocks — but the fills must
+      // sum to the eval list.
       const int W = solver.plan().width();
       for (rank_t r = 0; r < solver.num_ranks(); ++r)
         for (level_t k = 1; k <= s.levels.num_levels; ++k) {
