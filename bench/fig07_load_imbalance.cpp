@@ -77,7 +77,8 @@ int main() {
   t.print(std::cout);
 
   std::cout << "\nShape check vs paper: MeTiS-like multi-constraint degrades sharply with K;\n"
-               "PaToH 0.01 and SCOTCH-P stay in single digits; PaToH 0.05 sits between.\n";
+               "PaToH 0.01 and SCOTCH-P stay lowest, but at 6-13% rather than the paper's\n"
+               "single digits (SCOTCH-P peaks at K = 32); PaToH 0.05 sits between.\n";
 
   print_section(std::cout, "Per-level active ranks (level 1/2/.../N) — participation export");
   pt.print(std::cout);

@@ -24,7 +24,11 @@
 //     of the kill-and-resume smoke test (tools/kill_resume_smoke.sh).
 //   * `recovery.*` scenario keys switch to supervised execution: the run
 //     retries from the last good in-memory checkpoint per the policy.
+//   * A run whose final u or any receiver trace holds a NaN/Inf prints the
+//     non-finite count beside the max and exits 1 — also with the health
+//     guard off (`health-every=-1`), which lets such a run finish.
 
+#include <cmath>
 #include <csignal>
 #include <exception>
 #include <filesystem>
@@ -42,6 +46,33 @@
 #include "scenarios/scenario.hpp"
 
 using namespace ltswave;
+
+namespace {
+
+/// Max |x| over the finite entries and the count of non-finite ones;
+/// std::max alone would drop a NaN and report a blown-up field as calm.
+struct FieldSummary {
+  real_t max_abs = 0;
+  std::size_t non_finite = 0;
+};
+
+FieldSummary summarize(std::span<const real_t> xs) {
+  FieldSummary s;
+  for (const real_t x : xs) {
+    if (std::isfinite(x))
+      s.max_abs = std::max(s.max_abs, std::abs(x));
+    else
+      ++s.non_finite;
+  }
+  return s;
+}
+
+std::ostream& operator<<(std::ostream& os, const FieldSummary& s) {
+  if (s.non_finite == 0) return os << s.max_abs;
+  return os << "nan (" << s.non_finite << " non-finite)";
+}
+
+} // namespace
 
 int main(int argc, char** argv) {
   if (argc <= 1) {
@@ -147,15 +178,15 @@ int main(int argc, char** argv) {
     std::cout << "ran " << steps << " coarse cycles to t = " << sim->time() << " in "
               << sim->element_applies() << " element applies\n";
 
-    real_t umax = 0;
-    for (real_t x : sim->u()) umax = std::max(umax, std::abs(x));
-    std::cout << "max |u| = " << umax << "\n";
+    const FieldSummary u_summary = summarize(sim->u());
+    std::size_t non_finite = u_summary.non_finite;
+    std::cout << "max |u| = " << u_summary << "\n";
     for (std::size_t i = 0; i < sim->receivers().size(); ++i) {
       const auto& r = sim->receivers()[i];
-      real_t rmax = 0;
-      for (real_t x : r.values()) rmax = std::max(rmax, std::abs(x));
-      std::cout << "receiver " << i << ": " << r.times().size() << " samples, max |v| = " << rmax
-                << "\n";
+      const FieldSummary r_summary = summarize(r.values());
+      non_finite += r_summary.non_finite;
+      std::cout << "receiver " << i << ": " << r.times().size() << " samples, max |v| = "
+                << r_summary << "\n";
     }
     if (!output_dir.empty()) {
       std::filesystem::create_directories(output_dir);
@@ -180,6 +211,11 @@ int main(int argc, char** argv) {
     if (!report_path.empty()) {
       perf::write_json(report, report_path);
       std::cout << "wrote run report to " << report_path << "\n";
+    }
+    if (non_finite > 0) {
+      std::cerr << "run blew up: " << non_finite
+                << " non-finite values in u and the receiver traces\n";
+      return 1;
     }
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";

@@ -49,7 +49,21 @@ void LtsNewmarkReference::set_state(std::span<const real_t> u0, std::span<const 
     const real_t im = inv_mass_[g];
     for (std::size_t c = 0; c < nc; ++c) v_[g * nc + c] = v0[g * nc + c] + 0.5 * dt_ * im * ku[g * nc + c];
   }
+  // v^{-1/2} = v(0) - dt/2 * Minv (f(0) - K u0).
+  if (!sources_.empty()) {
+    const auto a0 = source_accel(0.0);
+    for (std::size_t i = 0; i < v_.size(); ++i) v_[i] -= 0.5 * dt_ * a0[i];
+  }
   time_ = 0;
+}
+
+std::vector<real_t> LtsNewmarkReference::source_accel(real_t t) const {
+  std::vector<real_t> a(u_.size(), 0.0);
+  for (const auto& s : sources_) s.accumulate(t, ncomp_, a.data());
+  const std::size_t nc = static_cast<std::size_t>(ncomp_);
+  for (std::size_t g = 0; g < inv_mass_.size(); ++g)
+    for (std::size_t c = 0; c < nc; ++c) a[g * nc + c] *= inv_mass_[g];
+  return a;
 }
 
 std::vector<real_t> LtsNewmarkReference::apply_level(level_t k, const std::vector<real_t>& field) {
@@ -102,16 +116,20 @@ std::vector<real_t> LtsNewmarkReference::run_level(level_t k, const std::vector<
 
 void LtsNewmarkReference::step() {
   const level_t nl = levels_->num_levels;
+  // The force of level 1 plus the cycle-frozen source term -Minv f(t0).
+  auto f1 = apply_level(1, u_);
+  if (!sources_.empty()) {
+    const auto a = source_accel(time_);
+    for (std::size_t i = 0; i < f1.size(); ++i) f1[i] -= a[i];
+  }
   if (nl == 1) {
-    auto F = apply_level(1, u_);
     for (std::size_t i = 0; i < u_.size(); ++i) {
-      v_[i] -= dt_ * F[i];
+      v_[i] -= dt_ * f1[i];
       u_[i] += dt_ * v_[i];
     }
     time_ += dt_;
     return;
   }
-  const auto f1 = apply_level(1, u_);
   const auto fine = run_level(2, u_, f1);
   for (std::size_t i = 0; i < u_.size(); ++i) {
     v_[i] += 2.0 * (fine[i] - u_[i]) / dt_;

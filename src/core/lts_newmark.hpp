@@ -17,6 +17,9 @@
 /// BatchPlan with one level-k group over E(k) per level — the same block
 /// kernels as the engine (which the kernel tests check against a dense
 /// element reference), none of the engine's rank/row/recursion machinery.
+/// Point sources enter as the algebra writes them: the cycle-start sample
+/// -Minv f(t) joins the level-1 frozen force, so it reaches every row
+/// through the full recursion rather than the engine's per-level injection.
 
 #include <vector>
 
@@ -31,6 +34,10 @@ public:
   LtsNewmarkReference(const sem::WaveOperator& op, const LevelAssignment& levels,
                       const LtsStructure& structure);
 
+  /// Registers a point source; call before set_state so the staggered
+  /// initial velocity sees f(0).
+  void add_source(const sem::PointSource& src) { sources_.push_back(src); }
+
   void set_state(std::span<const real_t> u0, std::span<const real_t> v0);
   void step();
 
@@ -43,6 +50,8 @@ private:
   std::vector<real_t> apply_level(level_t k, const std::vector<real_t>& field);
   std::vector<real_t> run_level(level_t k, const std::vector<real_t>& u0,
                                 const std::vector<real_t>& frozen);
+  /// Minv f(t) over every registered source (ndof).
+  std::vector<real_t> source_accel(real_t t) const;
 
   const sem::WaveOperator* op_;
   const LevelAssignment* levels_;
@@ -51,6 +60,7 @@ private:
   int ncomp_;
   std::vector<real_t> inv_mass_;
   std::vector<real_t> u_, v_;
+  std::vector<sem::PointSource> sources_;
   sem::BatchPlan plan_; ///< group k-1 = level k over E(k)
   sem::KernelWorkspace ws_;
 };

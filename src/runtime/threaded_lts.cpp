@@ -71,11 +71,42 @@ ThreadedLtsSolver::ThreadedLtsSolver(const sem::WaveOperator& op,
 
   // The LTS accumulators come last, after the plan's block slabs and the
   // build temporaries: the peak footprint is then the steady-state one.
+  allocate_accumulators();
+}
+
+template <class F>
+void ThreadedLtsSolver::for_each_fold_row(const RankData& rd, std::size_t L, F&& f) const {
+  if (cfg_.mode == SchedulerMode::LevelAwareSteal) {
+    const auto& owned = rd.owned_rows[L];
+    for (std::size_t j = 0; j < owned.size(); ++j) f(j, owned[j]);
+    return;
+  }
+  const auto solo = rd.solo_rows[L].rows();
+  for (std::size_t j = 0; j < solo.size(); ++j) f(j, solo[j]);
+  const auto& shared = rd.shared_rows[L];
+  for (std::size_t s = 0; s < shared.size(); ++s) f(solo.size() + s, shared[s]);
+}
+
+void ThreadedLtsSolver::allocate_accumulators() {
+  const level_t nl = levels_->num_levels;
+  const auto nc = static_cast<std::size_t>(ncomp_);
   const auto nacc = static_cast<std::size_t>(std::max(0, nl - 1));
   cumulative_.assign(nl > 1 ? ndof_ : 0, 0.0);
-  forces_.assign(nacc, std::vector<real_t>(ndof_, 0.0));
-  vt_.assign(nacc, std::vector<real_t>(ndof_, 0.0));
-  usave_.assign(nacc, std::vector<real_t>(ndof_, 0.0));
+  for (auto& rd : ranks_) {
+    rd.vt_update.assign(nacc, {});
+    rd.vt_recon.assign(nacc, {});
+    rd.saved_u.assign(nacc, {});
+    rd.forces.assign(nacc, {});
+    for (std::size_t L = 0; L < nacc; ++L) {
+      // Level k = L + 2 for vt, k = L + 1 for saved_u and forces.
+      rd.vt_update[L].assign(rd.update_rows[L + 1].size() * nc, 0.0);
+      rd.vt_recon[L].assign(rd.recon_rows[L + 1].size() * nc, 0.0);
+      rd.saved_u[L].assign(rd.recon_rows[L].size() * nc, 0.0);
+      std::size_t nfold = 0;
+      for_each_fold_row(rd, L, [&nfold](std::size_t, gindex_t) { ++nfold; });
+      rd.forces[L].assign(nfold * nc, 0.0);
+    }
+  }
 }
 
 void ThreadedLtsSolver::first_touch_rank_buffers() {
@@ -500,8 +531,17 @@ void ThreadedLtsSolver::add_source(const sem::PointSource& src) {
   LTS_CHECK(src.node >= 0 && src.node < op_->space().num_global_nodes());
   sources_.push_back(src);
   const level_t rho = structure_->node_rho[static_cast<std::size_t>(src.node)];
-  const rank_t owner = row_owner_[static_cast<std::size_t>(src.node)];
-  ranks_[static_cast<std::size_t>(owner)].sources[static_cast<std::size_t>(rho - 1)].push_back(src);
+  auto& rd = ranks_[static_cast<std::size_t>(row_owner_[static_cast<std::size_t>(src.node)])];
+  // Level 1 kicks v_ at the node; a finer level kicks its compact vt, whose
+  // rows are the owner's S(rho) — the source node is one by construction.
+  std::size_t slot = static_cast<std::size_t>(src.node);
+  if (rho > 1) {
+    const auto rows = rd.update_rows[static_cast<std::size_t>(rho - 1)].rows();
+    const auto it = std::find(rows.begin(), rows.end(), src.node);
+    LTS_CHECK(it != rows.end());
+    slot = static_cast<std::size_t>(it - rows.begin());
+  }
+  rd.sources[static_cast<std::size_t>(rho - 1)].push_back({src, slot});
 }
 
 std::size_t ThreadedLtsSolver::add_receiver(gindex_t node, int component) {
@@ -523,10 +563,11 @@ void ThreadedLtsSolver::adopt_state_from(const ThreadedLtsSolver& prev) {
   std::copy(prev.u_.get(), prev.u_.get() + ndof_, u_.get());
   std::copy(prev.v_.get(), prev.v_.get() + ndof_, v_.get());
   std::copy(prev.scratch_.get(), prev.scratch_.get() + ndof_, scratch_.get());
-  cumulative_ = prev.cumulative_;
-  forces_ = prev.forces_;
-  vt_ = prev.vt_;
-  usave_ = prev.usave_;
+  // The frozen forces live on prev's fold rows, which its partition chose;
+  // the full-size export is the partition-independent hand-off. The substep
+  // velocities and saved displacements need no copy: every cycle writes them
+  // before it reads them.
+  import_accumulators(prev.frozen_forces(), prev.cumulative_);
   cycles_done_ = prev.cycles_done_;
   for (const auto& s : prev.sources_) add_source(s);
   for (const auto& t : prev.traces_) {
@@ -565,8 +606,7 @@ void ThreadedLtsSolver::set_state(std::span<const real_t> u0, std::span<const re
     }
   }
   std::fill(scratch_.get(), scratch_.get() + ndof_, 0.0);
-  for (auto& f : forces_) std::fill(f.begin(), f.end(), 0.0);
-  if (!cumulative_.empty()) std::fill(cumulative_.begin(), cumulative_.end(), 0.0);
+  zero_forces();
   for (auto& t : traces_) {
     t.times.clear();
     t.values.clear();
@@ -590,20 +630,48 @@ void ThreadedLtsSolver::adopt_raw_state(std::span<const real_t> u, std::span<con
   const real_t elapsed = static_cast<real_t>(cycles_done) * dt_;
   time_offset_ = (time == elapsed) ? real_t(0) : time - elapsed;
   std::fill(scratch_.get(), scratch_.get() + ndof_, 0.0);
+  // The substep velocities and saved displacements are not reset: every
+  // cycle writes them before it reads them.
+  zero_forces();
+}
+
+void ThreadedLtsSolver::zero_forces() {
   if (!cumulative_.empty()) std::fill(cumulative_.begin(), cumulative_.end(), 0.0);
-  for (auto& f : forces_) std::fill(f.begin(), f.end(), 0.0);
-  for (auto& w : vt_) std::fill(w.begin(), w.end(), 0.0);
-  for (auto& w : usave_) std::fill(w.begin(), w.end(), 0.0);
+  for (auto& rd : ranks_)
+    for (auto& f : rd.forces) std::fill(f.begin(), f.end(), 0.0);
 }
 
 void ThreadedLtsSolver::import_accumulators(const std::vector<std::vector<real_t>>& forces,
                                             std::span<const real_t> cumulative) {
-  if (forces.size() != forces_.size() || cumulative.size() != cumulative_.size()) return;
-  for (std::size_t k = 0; k < forces.size(); ++k)
-    if (forces[k].size() != forces_[k].size()) return;
-  for (std::size_t k = 0; k < forces.size(); ++k)
-    std::copy(forces[k].begin(), forces[k].end(), forces_[k].begin());
+  const auto nacc = static_cast<std::size_t>(std::max(0, levels_->num_levels - 1));
+  if (forces.size() != nacc || cumulative.size() != cumulative_.size()) return;
+  for (const auto& f : forces)
+    if (f.size() != ndof_) return;
+  const auto nc = static_cast<std::size_t>(ncomp_);
+  for (auto& rd : ranks_)
+    for (std::size_t L = 0; L < nacc; ++L) {
+      const real_t* full = forces[L].data();
+      real_t* mine = rd.forces[L].data();
+      for_each_fold_row(rd, L, [&](std::size_t j, gindex_t g) {
+        std::copy_n(full + static_cast<std::size_t>(g) * nc, nc, mine + j * nc);
+      });
+    }
   std::copy(cumulative.begin(), cumulative.end(), cumulative_.begin());
+}
+
+std::vector<std::vector<real_t>> ThreadedLtsSolver::frozen_forces() const {
+  const auto nacc = static_cast<std::size_t>(std::max(0, levels_->num_levels - 1));
+  const auto nc = static_cast<std::size_t>(ncomp_);
+  std::vector<std::vector<real_t>> out(nacc, std::vector<real_t>(ndof_, 0.0));
+  for (const auto& rd : ranks_)
+    for (std::size_t L = 0; L < nacc; ++L) {
+      const real_t* mine = rd.forces[L].data();
+      real_t* full = out[L].data();
+      for_each_fold_row(rd, L, [&](std::size_t j, gindex_t g) {
+        std::copy_n(mine + j * nc, nc, full + static_cast<std::size_t>(g) * nc);
+      });
+    }
+  return out;
 }
 
 void ThreadedLtsSolver::sync(rank_t r, level_t k) {
@@ -687,14 +755,17 @@ void ThreadedLtsSolver::eval_phase(rank_t r, level_t k) {
   // (and a single-level run) reads the fresh force back from scratch_; the
   // coarser levels read cumulative_.
   const WallTimer timer2;
-  const bool track_force = k < levels_->num_levels;
-  auto fold = [&](gindex_t g, real_t contrib, int c) {
-    const std::size_t i = static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c);
+  const auto nc = static_cast<std::size_t>(ncomp_);
+  // j is the row's position in fold order (for_each_fold_row), which indexes
+  // the rank's compact level-k force array.
+  real_t* fk = k < levels_->num_levels ? rd.forces[L].data() : nullptr;
+  auto fold = [&](std::size_t j, gindex_t g, real_t contrib, std::size_t c) {
+    const std::size_t i = static_cast<std::size_t>(g) * nc + c;
     const real_t fresh = inv_mass_[static_cast<std::size_t>(g)] * contrib;
-    if (track_force) {
-      auto& fk = forces_[L];
-      cumulative_[i] += fresh - fk[i];
-      fk[i] = fresh;
+    if (fk) {
+      real_t& f = fk[j * nc + c];
+      cumulative_[i] += fresh - f;
+      f = fresh;
     } else {
       scratch_[i] = fresh;
     }
@@ -708,29 +779,30 @@ void ThreadedLtsSolver::eval_phase(rank_t r, level_t k) {
     const auto& srcs = rd.red_sources[L];
     for (std::size_t j = 0; j < owned.size(); ++j) {
       const gindex_t g = owned[j];
-      for (int c = 0; c < ncomp_; ++c) {
+      for (std::size_t c = 0; c < nc; ++c) {
         real_t sum = 0;
         for (index_t s = offs[j]; s < offs[j + 1]; ++s)
           sum += srcs[static_cast<std::size_t>(s)][c];
-        fold(g, sum, c);
+        fold(j, g, sum, c);
       }
     }
   } else {
     const real_t* buf = acc_buffer(rd);
-    for (const gindex_t g : rd.solo_rows[L])
-      for (int c = 0; c < ncomp_; ++c)
-        fold(g, buf[static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c)], c);
+    const auto solo = rd.solo_rows[L].rows();
+    for (std::size_t j = 0; j < solo.size(); ++j)
+      for (std::size_t c = 0; c < nc; ++c)
+        fold(j, solo[j], buf[static_cast<std::size_t>(solo[j]) * nc + c], c);
     const auto& srows = rd.shared_rows[L];
     const auto& soffs = rd.shared_offsets[L];
     const auto& stch = rd.shared_touchers[L];
     for (std::size_t s = 0; s < srows.size(); ++s) {
       const gindex_t g = srows[s];
-      for (int c = 0; c < ncomp_; ++c) {
+      for (std::size_t c = 0; c < nc; ++c) {
         real_t sum = 0;
         for (index_t t = soffs[s]; t < soffs[s + 1]; ++t)
           sum += ranks_[static_cast<std::size_t>(stch[static_cast<std::size_t>(t)])]
-                     .private_buf[static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c)];
-        fold(g, sum, c);
+                     .private_buf[static_cast<std::size_t>(g) * nc + c];
+        fold(solo.size() + s, g, sum, c);
       }
     }
   }
@@ -749,16 +821,15 @@ void ThreadedLtsSolver::apply_rank_sources(const RankData& rd, level_t k, real_t
   // linear in F, so adding the source term S afterwards equals folding it
   // into F up to a last-ulp reassociation. S = -Minv f(t), so that
   // v -= kick * F realizes v += kick * Minv f.
-  for (const auto& s : rd.sources[static_cast<std::size_t>(k - 1)]) {
+  const auto nc = static_cast<std::size_t>(ncomp_);
+  for (const auto& [s, slot] : rd.sources[static_cast<std::size_t>(k - 1)]) {
     const real_t val = s.amplitude * s.wavelet(t_src);
     const real_t im = inv_mass_[static_cast<std::size_t>(s.node)];
-    for (int c = 0; c < ncomp_; ++c) {
-      const std::size_t i = static_cast<std::size_t>(s.node) * static_cast<std::size_t>(ncomp_) +
-                            static_cast<std::size_t>(c);
-      const real_t S = -im * val * s.direction[static_cast<std::size_t>(c)];
+    for (std::size_t c = 0; c < nc; ++c) {
+      const real_t S = -im * val * s.direction[c];
       const real_t dv = -kick * S;
-      vel[i] += dv;
-      u_[i] += drift * dv;
+      vel[slot * nc + c] += dv;
+      u_[static_cast<std::size_t>(s.node) * nc + c] += drift * dv;
     }
   }
 }
@@ -776,9 +847,15 @@ void ThreadedLtsSolver::run_level(rank_t r, level_t k, real_t t0) {
   const level_t nl = levels_->num_levels;
   const real_t delta = dt_ / static_cast<real_t>(level_rate(k));
   auto& rd = ranks_[static_cast<std::size_t>(r)];
-  auto& vt = vt_[static_cast<std::size_t>(k - 2)];
+  const auto L = static_cast<std::size_t>(k - 1);
+  const auto nc = static_cast<std::size_t>(ncomp_);
+  // Level k's substep velocity on S(k) and, below the deepest level, on
+  // R(k+1), plus the displacement saved for its reconstruction — all
+  // compact over the rank's row lists.
+  const auto upd = rd.update_rows[L].rows();
+  real_t* vt_upd = rd.vt_update[L - 1].data();
   const bool in = participates(r, k);
-  const bool has_sources = in && !rd.sources[static_cast<std::size_t>(k - 1)].empty();
+  const bool has_sources = in && !rd.sources[L].empty();
 
   for (int m = 0; m < 2; ++m) {
     const bool first = (m == 0);
@@ -789,22 +866,23 @@ void ThreadedLtsSolver::run_level(rank_t r, level_t k, real_t t0) {
       eval_phase(r, k);
       if (in) {
         const WallTimer timer;
-        for (gindex_t g : rd.update_rows[static_cast<std::size_t>(k - 1)])
-          for (int c = 0; c < ncomp_; ++c) {
-            const std::size_t i = static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c);
+        for (std::size_t j = 0; j < upd.size(); ++j)
+          for (std::size_t c = 0; c < nc; ++c) {
+            const std::size_t i = static_cast<std::size_t>(upd[j]) * nc + c;
+            real_t& w = vt_upd[j * nc + c];
             const real_t F = cumulative_[i] + scratch_[i];
             if (first)
-              vt[i] = -kick * F;
+              w = -kick * F;
             else
-              vt[i] -= kick * F;
-            u_[i] += delta * vt[i];
+              w -= kick * F;
+            u_[i] += delta * w;
           }
         // Sources are sampled frozen at the cycle start (the midpoint rule;
         // see the file comment).
         double t_src = 0;
         if (has_sources) {
           const WallTimer src_timer;
-          apply_rank_sources(rd, k, t0, kick, delta, vt.data());
+          apply_rank_sources(rd, k, t0, kick, delta, vt_upd);
           t_src = src_timer.seconds();
           tally(rd, slot_sources(), t_src);
         }
@@ -818,15 +896,15 @@ void ThreadedLtsSolver::run_level(rank_t r, level_t k, real_t t0) {
       continue;
     }
 
+    const auto rec = rd.recon_rows[L].rows();
+    real_t* vt_rec = rd.vt_recon[L - 1].data();
+    real_t* save = rd.saved_u[L].data();
     eval_phase(r, k);
     if (in) {
       const WallTimer timer;
-      auto& save = usave_[static_cast<std::size_t>(k - 1)];
-      for (gindex_t g : rd.recon_rows[static_cast<std::size_t>(k - 1)])
-        for (int c = 0; c < ncomp_; ++c) {
-          const std::size_t i = static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c);
-          save[i] = u_[i];
-        }
+      for (std::size_t j = 0; j < rec.size(); ++j)
+        for (std::size_t c = 0; c < nc; ++c)
+          save[j * nc + c] = u_[static_cast<std::size_t>(rec[j]) * nc + c];
       const double s = timer.seconds();
       busy_[static_cast<std::size_t>(r)].fetch_add(s, std::memory_order_relaxed);
       tally(rd, slot_update(), s);
@@ -838,30 +916,32 @@ void ThreadedLtsSolver::run_level(rank_t r, level_t k, real_t t0) {
 
     if (in) {
       const WallTimer timer2;
-      const auto& save = usave_[static_cast<std::size_t>(k - 1)];
-      for (gindex_t g : rd.recon_rows[static_cast<std::size_t>(k - 1)])
-        for (int c = 0; c < ncomp_; ++c) {
-          const std::size_t i = static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c);
+      for (std::size_t j = 0; j < rec.size(); ++j)
+        for (std::size_t c = 0; c < nc; ++c) {
+          const std::size_t i = static_cast<std::size_t>(rec[j]) * nc + c;
+          const real_t saved = save[j * nc + c];
+          real_t& w = vt_rec[j * nc + c];
           if (first)
-            vt[i] = (u_[i] - save[i]) / delta;
+            w = (u_[i] - saved) / delta;
           else
-            vt[i] += 2.0 * (u_[i] - save[i]) / delta;
-          u_[i] = save[i] + delta * vt[i];
+            w += 2.0 * (u_[i] - saved) / delta;
+          u_[i] = saved + delta * w;
         }
-      for (gindex_t g : rd.update_rows[static_cast<std::size_t>(k - 1)])
-        for (int c = 0; c < ncomp_; ++c) {
-          const std::size_t i = static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c);
+      for (std::size_t j = 0; j < upd.size(); ++j)
+        for (std::size_t c = 0; c < nc; ++c) {
+          const std::size_t i = static_cast<std::size_t>(upd[j]) * nc + c;
+          real_t& w = vt_upd[j * nc + c];
           const real_t F = cumulative_[i];
           if (first)
-            vt[i] = -0.5 * delta * F;
+            w = -0.5 * delta * F;
           else
-            vt[i] -= delta * F;
-          u_[i] += delta * vt[i];
+            w -= delta * F;
+          u_[i] += delta * w;
         }
       double t_src = 0;
       if (has_sources) {
         const WallTimer src_timer;
-        apply_rank_sources(rd, k, t0, first ? real_t(0.5) * delta : delta, delta, vt.data());
+        apply_rank_sources(rd, k, t0, first ? real_t(0.5) * delta : delta, delta, vt_upd);
         t_src = src_timer.seconds();
         tally(rd, slot_sources(), t_src);
       }
@@ -882,6 +962,11 @@ void ThreadedLtsSolver::thread_main(rank_t r, std::int64_t cycles) {
   // The force of the physical level-1 step on S(1): a single level's fresh
   // evaluation, else the frozen sum of every level's force.
   const real_t* force1 = nl > 1 ? cumulative_.data() : scratch_.get();
+  // The level-1 reconstruction rows R(2) and their saved displacements; a
+  // single level has none, so the loops over rec below never run.
+  const auto nc = static_cast<std::size_t>(ncomp_);
+  const auto rec = rd.recon_rows[0].rows();
+  real_t* save = nl > 1 ? rd.saved_u[0].data() : nullptr;
 
   for (std::int64_t cyc = 0; cyc < cycles; ++cyc) {
     // Cycle start time from the integer cycle counter: identical however the
@@ -892,12 +977,9 @@ void ThreadedLtsSolver::thread_main(rank_t r, std::int64_t cycles) {
     if (nl > 1) {
       if (in) {
         const WallTimer timer;
-        auto& save = usave_[0];
-        for (gindex_t g : rd.recon_rows[0])
-          for (int c = 0; c < ncomp_; ++c) {
-            const std::size_t i = static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c);
-            save[i] = u_[i];
-          }
+        for (std::size_t j = 0; j < rec.size(); ++j)
+          for (std::size_t c = 0; c < nc; ++c)
+            save[j * nc + c] = u_[static_cast<std::size_t>(rec[j]) * nc + c];
         const double s = timer.seconds();
         busy_[static_cast<std::size_t>(r)].fetch_add(s, std::memory_order_relaxed);
         tally(rd, slot_update(), s);
@@ -910,18 +992,16 @@ void ThreadedLtsSolver::thread_main(rank_t r, std::int64_t cycles) {
 
     if (in) {
       const WallTimer timer2;
-      if (nl > 1) {
-        const auto& save = usave_[0];
-        for (gindex_t g : rd.recon_rows[0])
-          for (int c = 0; c < ncomp_; ++c) {
-            const std::size_t i = static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c);
-            v_[i] += 2.0 * (u_[i] - save[i]) / dt_;
-            u_[i] = save[i] + dt_ * v_[i];
-          }
-      }
+      for (std::size_t j = 0; j < rec.size(); ++j)
+        for (std::size_t c = 0; c < nc; ++c) {
+          const std::size_t i = static_cast<std::size_t>(rec[j]) * nc + c;
+          const real_t saved = save[j * nc + c];
+          v_[i] += 2.0 * (u_[i] - saved) / dt_;
+          u_[i] = saved + dt_ * v_[i];
+        }
       for (gindex_t g : rd.update_rows[0])
-        for (int c = 0; c < ncomp_; ++c) {
-          const std::size_t i = static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c);
+        for (std::size_t c = 0; c < nc; ++c) {
+          const std::size_t i = static_cast<std::size_t>(g) * nc + c;
           v_[i] -= dt_ * force1[i];
           u_[i] += dt_ * v_[i];
         }
@@ -976,11 +1056,11 @@ void ThreadedLtsSolver::maybe_inject_fault(const RankData& rd, rank_t r, std::in
   std::size_t pick = resilience::fault_pick(fault_.seed, nrows);
   gindex_t g = -1;
   for (const auto& v : rd.update_rows) {
-    if (g < 0 && pick < v.size()) g = v[pick];
+    if (g < 0 && pick < v.size()) g = v.rows()[pick];
     if (g < 0) pick -= v.size();
   }
   for (const auto& v : rd.recon_rows) {
-    if (g < 0 && pick < v.size()) g = v[pick];
+    if (g < 0 && pick < v.size()) g = v.rows()[pick];
     if (g < 0) pick -= v.size();
   }
   LTS_CHECK(g >= 0);

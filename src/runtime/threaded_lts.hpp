@@ -51,6 +51,14 @@
 /// fixed (rank, chunk) order, so every mode — stealing included — is bitwise
 /// reproducible run to run.
 ///
+/// The LTS accumulators are level-compact: a rank keeps level k's substep
+/// velocity only on its S(k) and R(k+1) rows, the displacement saved for the
+/// level-k reconstruction only on its R(k+1) rows, and level k's frozen force
+/// only on the rows it folds in the level-k reduction — each array indexed by
+/// position in the rank's row list (entry j * ncomp + c is component c of the
+/// list's j-th row). The full-ndof vectors left are u, the level-1 velocity v,
+/// scratch, the cumulative frozen force, and the per-rank accumulation buffers.
+///
 /// Point sources are injected by the rank owning the source node's row,
 /// sampled frozen at the cycle start. The velocity reconstruction (Eq. 14)
 /// folds the inner evolution through a (dt - tau)-shaped kernel, so only an
@@ -123,16 +131,22 @@ public:
                        std::int64_t cycles_done);
 
   /// Restores the frozen per-level forces and the cumulative sum captured by
-  /// a checkpoint of the *same* LTS level structure; silently keeps the
-  /// zeroed accumulators (recompute-from-u semantics) when the shapes do not
-  /// match — a cross-scheme restore, where the captured accumulators are
+  /// a checkpoint of the *same* LTS level structure: `forces` is the
+  /// full-size image frozen_forces() exports, gathered back onto each rank's
+  /// fold rows (entries off structure.eval_rows[k-1] are never read). Any
+  /// partition of the same structure imports it. Silently keeps the zeroed
+  /// accumulators (recompute-from-u semantics) when the shapes do not match
+  /// — a cross-scheme restore, where the captured accumulators are
   /// meaningless here.
   void import_accumulators(const std::vector<std::vector<real_t>>& forces,
                            std::span<const real_t> cumulative);
 
-  [[nodiscard]] const std::vector<std::vector<real_t>>& frozen_forces() const noexcept {
-    return forces_;
-  }
+  /// Exports the frozen per-level forces A P_k u, k = 1..N-1, as N-1 full
+  /// ndof vectors, exactly zero outside structure.eval_rows[k-1]. The solver
+  /// keeps them level-compact on the folding ranks; this scatters them into
+  /// a fresh full-size image — the checkpoint layout, independent of the
+  /// partition — so call it at checkpoint and hand-off time, not per cycle.
+  [[nodiscard]] std::vector<std::vector<real_t>> frozen_forces() const;
   [[nodiscard]] const std::vector<real_t>& cumulative() const noexcept { return cumulative_; }
   [[nodiscard]] real_t dt() const noexcept { return dt_; }
 
@@ -271,11 +285,15 @@ private:
     [[nodiscard]] auto end() const noexcept { return rows().end(); }
     [[nodiscard]] std::size_t size() const noexcept { return rows().size(); }
     [[nodiscard]] bool empty() const noexcept { return rows().empty(); }
-    [[nodiscard]] gindex_t operator[](std::size_t i) const { return rows()[i]; }
 
   private:
     std::vector<gindex_t> own_;
     const std::vector<gindex_t>* whole_ = nullptr; ///< LtsStructure's list, when equal
+  };
+
+  struct RankSource {
+    sem::PointSource src;
+    std::size_t slot = 0;
   };
 
   struct RankData {
@@ -298,13 +316,22 @@ private:
     // Row-update sets owned by this rank.
     std::vector<RowList> update_rows; // S(k) ∩ mine
     std::vector<RowList> recon_rows;  // R(k+1) ∩ mine
+    // Level-compact LTS accumulators (see the file comment), each indexed by
+    // position in the row list it shadows: entry j * ncomp + c is component
+    // c of that list's j-th row. Every cycle writes the vt arrays and saved_u
+    // before it reads them; forces carry over from cycle to cycle.
+    std::vector<std::vector<real_t>> vt_update; // [k-2] over update_rows[k-1], k >= 2
+    std::vector<std::vector<real_t>> vt_recon;  // [k-2] over recon_rows[k-1], 2 <= k < N
+    std::vector<std::vector<real_t>> saved_u;   // [k-1] over recon_rows[k-1], k < N
+    std::vector<std::vector<real_t>> forces;    // [k-1] over the fold rows, k < N
     // ndof accumulation buffer; left empty on a rank without peers outside
     // steal mode, which accumulates into scratch_ directly (acc_buffer).
     std::vector<real_t> private_buf;
     std::unique_ptr<sem::KernelWorkspace> workspace;
     // Point sources injected by this rank, bucketed by the source node's
-    // updater level rho.
-    std::vector<std::vector<sem::PointSource>> sources; // [level]
+    // updater level rho, each with the velocity slot it kicks: the node
+    // itself at level 1 (v_), its position in update_rows[rho-1] above.
+    std::vector<std::vector<RankSource>> sources; // [level]
     // Indices into traces_ of the receivers this rank samples.
     std::vector<std::size_t> receivers;
     // Work-stealing state (LevelAwareSteal only).
@@ -331,6 +358,13 @@ private:
   void build_chunks();
   void build_steal_reduction();
   void first_touch_rank_buffers();
+  void allocate_accumulators();
+  void zero_forces();
+  /// Visits the rows rank rd folds in the level-(L+1) reduction, in fold
+  /// order — solo then shared rows, or the owned rows in steal mode — as
+  /// f(j, g): position j in its compact force array, global row g.
+  template <class F>
+  void for_each_fold_row(const RankData& rd, std::size_t L, F&& f) const;
   /// Where rank r's eval phase accumulates K P_k u: its private buffer, or
   /// the shared scratch vector when it has no peers to reduce with.
   [[nodiscard]] real_t* acc_buffer(RankData& rd) noexcept {
@@ -370,10 +404,11 @@ private:
   void run_level(rank_t r, level_t k, real_t t0);
   void sync(rank_t r, level_t k);
   /// Folds this rank's level-k sources (sampled at t_src) into an update that
-  /// already ran without them: vel (vt or v) and u are post-corrected by the
-  /// linear terms a source adds to the force F, using the substep's own
-  /// kick/drift coefficients (the physical level-1 step passes (dt, dt) —
-  /// the leapfrog form v -= dt * F).
+  /// already ran without them: vel (the level's compact vt, or v at level 1)
+  /// at each source's slot and u are post-corrected by the linear terms a
+  /// source adds to the force F, using the substep's own kick/drift
+  /// coefficients (the physical level-1 step passes (dt, dt) — the leapfrog
+  /// form v -= dt * F).
   void apply_rank_sources(const RankData& rd, level_t k, real_t t_src, real_t kick, real_t drift,
                           real_t* vel);
   void sample_receivers(const RankData& rd, real_t t);
@@ -403,10 +438,7 @@ private:
   // pool workers' per-owned-row zeroing is the first touch of every page.
   std::unique_ptr<real_t[]> u_, v_;
   std::unique_ptr<real_t[]> scratch_;
-  std::vector<real_t> cumulative_;
-  std::vector<std::vector<real_t>> forces_;
-  std::vector<std::vector<real_t>> vt_;
-  std::vector<std::vector<real_t>> usave_;
+  std::vector<real_t> cumulative_; // sum of the frozen forces (ndof_, or empty on one level)
 
   std::vector<sem::PointSource> sources_; // master list (adopt/redistribute)
   std::vector<Trace> traces_;

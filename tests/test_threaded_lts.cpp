@@ -373,6 +373,112 @@ TEST(Threaded, StealSchedulerBitwiseDeterministicWithSources) {
   }
 }
 
+/// A quasi-1D strip whose cell widths halve twice and recover, so levels 1,
+/// 2 and 3 all hold elements. (make_strip_mesh squeezes in one jump: its
+/// intermediate levels are empty.)
+mesh::HexMesh graded_strip() {
+  std::vector<real_t> xs{0};
+  for (const auto& [cells, width] : {std::pair{8, 1.0}, {6, 0.5}, {8, 0.25}, {4, 0.5}, {6, 1.0}})
+    for (int i = 0; i < cells; ++i) xs.push_back(xs.back() + width);
+  return mesh::make_structured(xs, {0, 1}, {0, 1});
+}
+
+TEST(Threaded, IntermediateLevelSourceMatchesReferenceEveryMode) {
+  // A source at a node updated by an intermediate level (1 < rho < N) is
+  // injected into that level's compact substep velocity, at its position in
+  // the owner's S(rho) rows. serial-lts and every mode on three ranks must
+  // land on the full-vector reference, where the same source reaches every
+  // row through the level-1 frozen force; two steal runs agree bitwise.
+  Rig s(graded_strip());
+  ASSERT_EQ(s.levels.num_levels, 3);
+  sem::PointSource src = fine_source(s);
+  src.node = -1;
+  for (gindex_t g = 0; g < s.space->num_global_nodes() && src.node < 0; ++g)
+    if (s.structure.node_rho[static_cast<std::size_t>(g)] == 2) src.node = g;
+  ASSERT_GE(src.node, 0) << "no node updated at level 2";
+
+  const std::vector<real_t> zero(s.ndof, 0.0);
+  core::LtsNewmarkReference reference(*s.op, s.levels, s.structure);
+  reference.add_source(src);
+  reference.set_state(zero, zero);
+  for (int i = 0; i < 6; ++i) reference.step();
+  real_t umax = 0;
+  for (real_t v : reference.u()) umax = std::max(umax, std::abs(v));
+  ASSERT_GT(umax, 0) << "source injected no energy";
+
+  const auto run = [&](const partition::Partition& part, SchedulerMode mode) {
+    auto solver = std::make_unique<ThreadedLtsSolver>(*s.op, s.levels, s.structure, part,
+                                                      cfg_for(mode));
+    solver->add_source(src);
+    solver->set_state(zero, zero);
+    solver->run_cycles(6);
+    return solver;
+  };
+  const auto expect_reference = [&](const ThreadedLtsSolver& solver, const std::string& what) {
+    EXPECT_LT(max_abs_diff(solver.u(), reference.u()), 1e-11 * std::max<real_t>(1, umax)) << what;
+    EXPECT_LT(max_abs_diff(solver.v_half(), reference.v_half()), 1e-10 * std::max<real_t>(1, umax))
+        << what;
+  };
+  expect_reference(*run(s.one_rank(), SchedulerMode::LevelAware), "serial-lts");
+  const auto part = s.make_partition(3);
+  for (const SchedulerMode mode : kAllSchedulerModes)
+    expect_reference(*run(part, mode), to_string(mode) + " on 3 ranks");
+
+  const auto steal_a = run(part, SchedulerMode::LevelAwareSteal);
+  const auto steal_b = run(part, SchedulerMode::LevelAwareSteal);
+  EXPECT_EQ(vec(steal_a->u()), vec(steal_b->u()));
+  EXPECT_EQ(vec(steal_a->v_half()), vec(steal_b->v_half()));
+}
+
+TEST(Threaded, FrozenForceExportIsFullSizeZeroOffEvalRowsAndRoundTrips) {
+  // The solver keeps each level's frozen force only on the rows its ranks
+  // fold; frozen_forces() scatters them into the partition-independent
+  // checkpoint image — N-1 vectors of ndof, exactly zero off E(k)'s rows —
+  // and import_accumulators gathers that image back bit for bit.
+  Rig s(graded_strip(), 2, /*elastic=*/true);
+  const level_t nl = s.levels.num_levels;
+  ASSERT_EQ(nl, 3);
+  const auto nc = static_cast<std::size_t>(s.op->ncomp());
+  const auto u0 = s.initial();
+  const std::vector<real_t> v0(s.ndof, 0.0);
+  for (const rank_t ranks : {1, 3})
+    for (const SchedulerMode mode : {SchedulerMode::LevelAware, SchedulerMode::LevelAwareSteal}) {
+      const auto part = ranks == 1 ? s.one_rank() : s.make_partition(ranks);
+      const std::string what = to_string(mode) + " on " + std::to_string(ranks) + " ranks";
+      ThreadedLtsSolver solver(*s.op, s.levels, s.structure, part, cfg_for(mode));
+      solver.set_state(u0, v0);
+      solver.run_cycles(3);
+
+      const auto forces = solver.frozen_forces();
+      ASSERT_EQ(forces.size(), static_cast<std::size_t>(nl - 1)) << what;
+      for (level_t k = 1; k < nl; ++k) {
+        const auto& f = forces[static_cast<std::size_t>(k - 1)];
+        ASSERT_EQ(f.size(), s.ndof) << what;
+        std::vector<bool> on_eval_row(s.ndof, false);
+        for (const gindex_t g : s.structure.eval_rows[static_cast<std::size_t>(k - 1)])
+          for (std::size_t c = 0; c < nc; ++c) on_eval_row[static_cast<std::size_t>(g) * nc + c] = true;
+        std::size_t nonzero = 0;
+        for (std::size_t i = 0; i < s.ndof; ++i) {
+          if (!on_eval_row[i]) {
+            EXPECT_EQ(f[i], 0.0) << what << ", level " << k << ", entry " << i;
+          }
+          nonzero += f[i] != 0.0 ? 1 : 0;
+        }
+        EXPECT_GT(nonzero, 0u) << what << ": level " << k << " exported no force";
+      }
+
+      const std::vector<real_t> cumulative = solver.cumulative();
+      solver.import_accumulators(forces, cumulative);
+      EXPECT_EQ(solver.frozen_forces(), forces) << what;
+      // A fresh solver (zeroed accumulators) gathers the same image back.
+      ThreadedLtsSolver fresh(*s.op, s.levels, s.structure, part, cfg_for(mode));
+      fresh.set_state(u0, v0);
+      fresh.import_accumulators(forces, cumulative);
+      EXPECT_EQ(fresh.frozen_forces(), forces) << what;
+      EXPECT_EQ(fresh.cumulative(), cumulative) << what;
+    }
+}
+
 TEST(Threaded, StealChunksAlignToBlocksAndStayBitwiseDeterministic) {
   // Steal chunks are whole BatchPlan blocks; a chunk_elems request that is
   // not a multiple of the block width is rounded up to whole blocks, and the
