@@ -1,7 +1,10 @@
 // Reproduces the paper's Fig. 7 table: total work-load imbalance (Eq. 21) of
 // the MeTiS-like multi-constraint graph partitioner, the PaToH-like
 // hypergraph partitioner at final_imbal 0.05 / 0.01, and SCOTCH-P, for
-// K = 16/32/64 parts of the trench mesh.
+// K = 16/32/64 parts of the trench mesh. All four run on one multilevel
+// engine with balance repair, so the MeTiS analogue stays at 7-10% instead of
+// the paper's 34/88/89%; SCOTCH-P (6-7%) and both PaToH rows keep the paper's
+// shape.
 
 #include <iostream>
 #include <numeric>
@@ -76,9 +79,10 @@ int main() {
   }
   t.print(std::cout);
 
-  std::cout << "\nShape check vs paper: MeTiS-like multi-constraint degrades sharply with K;\n"
-               "PaToH 0.01 and SCOTCH-P stay lowest, but at 6-13% rather than the paper's\n"
-               "single digits (SCOTCH-P peaks at K = 32); PaToH 0.05 sits between.\n";
+  std::cout << "\nShape check vs paper: SCOTCH-P stays in single digits (6-7%) and PaToH\n"
+               "0.01 at 6-10%, while PaToH 0.05 is the most imbalanced (23-32%). MeTiS-like\n"
+               "multi-constraint no longer degrades with K (7-10% vs the paper's 34/88/89%):\n"
+               "the shared engine repairs balance on every constraint at every bisection.\n";
 
   print_section(std::cout, "Per-level active ranks (level 1/2/.../N) — participation export");
   pt.print(std::cout);

@@ -57,6 +57,28 @@ void Hypergraph::validate() const {
   }
 }
 
+Hypergraph two_pin_hypergraph(const CsrGraph& g) {
+  std::vector<index_t> offsets = {0};
+  std::vector<index_t> pins;
+  std::vector<weight_t> costs;
+  pins.reserve(g.adjncy().size());
+  costs.reserve(g.num_edges());
+  for (index_t u = 0; u < g.num_vertices(); ++u) {
+    const auto nbrs = g.neighbors(u);
+    const auto wgts = g.edge_weights(u);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (nbrs[i] <= u) continue;
+      pins.push_back(u);
+      pins.push_back(nbrs[i]);
+      offsets.push_back(static_cast<index_t>(pins.size()));
+      costs.push_back(wgts[i]);
+    }
+  }
+  Hypergraph h(g.num_vertices(), std::move(offsets), std::move(pins), std::move(costs));
+  h.set_vertex_weights(g.vertex_weights(), g.num_constraints());
+  return h;
+}
+
 weight_t hypergraph_cutsize(const Hypergraph& h, std::span<const rank_t> part) {
   LTS_CHECK(part.size() == static_cast<std::size_t>(h.num_vertices()));
   weight_t cut = 0;

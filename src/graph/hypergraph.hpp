@@ -68,6 +68,12 @@ private:
   int num_constraints_ = 1;
 };
 
+/// The graph as a hypergraph on 2-pin nets: one net {u, v} per edge (u < v,
+/// in CSR order) costing the edge weight, vertex weights and constraints
+/// copied. On 2-pin nets lambda-1 is exactly the edge cut, so one hypergraph
+/// partitioner serves both of the paper's models.
+Hypergraph two_pin_hypergraph(const CsrGraph& g);
+
 /// Connectivity cut size (paper Eq. 20): sum over nets of cost * (lambda-1),
 /// lambda = number of distinct parts among the net's pins.
 weight_t hypergraph_cutsize(const Hypergraph& h, std::span<const rank_t> part);

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "graph/builders.hpp"
-#include "partition/multilevel.hpp"
 
 namespace ltswave::partition {
 
@@ -65,30 +64,17 @@ Partition refine_with_feedback(const mesh::HexMesh& m, std::span<const level_t> 
                     << cfg.num_parts << " requested, " << current.num_parts << " measured)");
   if (cfg.num_parts <= 1) return current;
 
-  const auto factors = rank_cost_factors(elem_levels, current, sig);
+  // Each rank's target share of every level (Eq. 19 constraints) is
+  // inverse to its measured cost per unit of modeled work.
+  std::vector<double> share = rank_cost_factors(elem_levels, current, sig);
+  for (double& s : share) s = 1.0 / s;
 
-  // Multi-constraint weights (one balance constraint per level, Eq. 19) in
-  // fixed point: weight 64 == measured mean cost, so a factor-1.5 rank's
-  // elements weigh 96. Integer headroom keeps the clamped factors resolvable
-  // without overflowing weight sums on large meshes.
-  constexpr graph::weight_t kScale = 64;
   auto dual = graph::build_dual_graph(m, elem_levels);
-  const index_t nv = dual.num_vertices();
-  std::vector<graph::weight_t> w(static_cast<std::size_t>(nv) * static_cast<std::size_t>(num_levels), 0);
-  for (index_t v = 0; v < nv; ++v) {
-    const level_t lev = elem_levels[static_cast<std::size_t>(v)];
-    LTS_CHECK(lev >= 1 && lev <= num_levels);
-    const double f = factors[static_cast<std::size_t>(current.part[static_cast<std::size_t>(v)])];
-    w[static_cast<std::size_t>(v) * static_cast<std::size_t>(num_levels) + static_cast<std::size_t>(lev - 1)] =
-        std::max<graph::weight_t>(1, static_cast<graph::weight_t>(std::llround(
-                                         f * static_cast<double>(kScale))));
-  }
-  dual.set_vertex_weights(std::move(w), num_levels);
-
-  MultilevelConfig mc;
-  mc.eps = cfg.imbalance;
-  mc.seed = cfg.seed ^ 0xfeedbacdull; // decorrelate from the initial partition
-  Partition refined = recursive_bisection(dual, cfg.num_parts, mc);
+  graph::set_lts_vertex_weights(dual, elem_levels, num_levels, /*multi_constraint=*/true);
+  // The seed is decorrelated from the initial partition's.
+  Partition refined = hg_recursive_bisection(
+      graph::two_pin_hypergraph(dual), cfg.num_parts,
+      graph_engine_config(cfg, cfg.num_parts, cfg.seed ^ 0xfeedbacdull), share);
   refined.validate();
   return refined;
 }

@@ -8,9 +8,9 @@
 /// (element counts weighted by p-level rates); real machines add per-rank
 /// cost skew the model cannot see — NUMA placement, frequency differences,
 /// co-tenants, cache pressure from the rank's own halo pattern. The feedback
-/// pass measures that skew as busy-seconds-per-modeled-work, re-weights the
-/// level-weighted dual graph accordingly, and repartitions, closing the loop
-/// the ROADMAP calls "steal-aware partitioner feedback".
+/// pass measures that skew as busy-seconds-per-modeled-work, shrinks the
+/// per-level target share of slow ranks accordingly, and repartitions,
+/// closing the loop the ROADMAP calls "steal-aware partitioner feedback".
 
 #include <span>
 
@@ -40,13 +40,13 @@ inline constexpr double kMaxCostFactor = 4.0;
                                                     const Partition& current,
                                                     const FeedbackSignal& sig);
 
-/// Repartitions with element weights scaled by the measured cost factor of
-/// each element's *current* rank (the standard diffusive feedback heuristic:
-/// elements are the unit the skew travels with when they move). The refined
-/// partition balances measured cost per level (multi-constraint, Eq. 19
-/// weights times the cost factors) while keeping the p-weighted edge-cut
-/// objective. `cfg.num_parts` must equal both `current.num_parts` and the
-/// signal's rank count.
+/// Repartitions with rank r's target share of every level proportional to
+/// 1 / (its measured cost factor): the skew belongs to the rank, so a rank
+/// twice as slow per unit of work receives half the elements of each level.
+/// The refined partition balances measured cost per level (multi-constraint,
+/// Eq. 19 weights, non-uniform part targets) while keeping the p-weighted
+/// edge-cut objective. `cfg.num_parts` must equal both `current.num_parts`
+/// and the signal's rank count.
 [[nodiscard]] Partition refine_with_feedback(const mesh::HexMesh& m,
                                              std::span<const level_t> elem_levels,
                                              level_t num_levels, const Partition& current,

@@ -1,6 +1,7 @@
 #include "partition/hg_multilevel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <queue>
@@ -14,7 +15,7 @@ using graph::weight_t;
 namespace {
 
 // ---------------------------------------------------------------------------
-// Balance bookkeeping (hypergraph flavour of the graph engine's state)
+// Balance bookkeeping: side-0 weight per constraint against the targets
 // ---------------------------------------------------------------------------
 
 struct HgBalance {
@@ -112,9 +113,7 @@ HgCoarseLevel hg_coarsen_once(const Hypergraph& h, Rng& rng) {
 
   // Constraint signature: which constraint a vertex's weight lives in (the
   // LTS weights are one-hot). Preferring same-signature partners keeps coarse
-  // vertices "pure", so per-level balance stays achievable on coarse levels —
-  // this is what makes the multilevel multi-constraint bisection behave like
-  // PaToH rather than like the weaker graph engine.
+  // vertices "pure", so per-level balance stays achievable on coarse levels.
   const int ncon_sig = h.num_constraints();
   auto signature = [&](index_t v) {
     for (int c = 0; c < ncon_sig; ++c)
@@ -233,14 +232,16 @@ bool hg_fm_pass(const Hypergraph& h, std::vector<std::uint8_t>& side, HgBalance&
   for (index_t net = 0; net < nnets; ++net)
     for (index_t v : h.pins(net)) ++pins_on[static_cast<std::size_t>(net)][side[static_cast<std::size_t>(v)]];
 
+  // Gain contribution of one net to moving a pin off side s.
+  const auto net_gain = [](const std::array<index_t, 2>& po, int s, weight_t cost) -> weight_t {
+    if (po[static_cast<std::size_t>(1 - s)] == 0) return -cost; // would newly cut this net
+    if (po[static_cast<std::size_t>(s)] == 1) return cost;      // the last pin on s: uncuts
+    return 0;
+  };
   auto gain_of = [&](index_t v) {
     const int s = side[static_cast<std::size_t>(v)];
     weight_t gv = 0;
-    for (index_t net : h.nets_of(v)) {
-      const auto& po = pins_on[static_cast<std::size_t>(net)];
-      if (po[static_cast<std::size_t>(1 - s)] == 0) gv -= h.net_cost(net); // would newly cut this net
-      else if (po[static_cast<std::size_t>(s)] == 1) gv += h.net_cost(net); // v is the last pin on s: uncuts
-    }
+    for (index_t net : h.nets_of(v)) gv += net_gain(pins_on[static_cast<std::size_t>(net)], s, h.net_cost(net));
     return gv;
   };
 
@@ -253,6 +254,8 @@ bool hg_fm_pass(const Hypergraph& h, std::vector<std::uint8_t>& side, HgBalance&
 
   std::vector<std::uint8_t> locked(static_cast<std::size_t>(n), 0);
   std::vector<index_t> moved;
+  std::vector<std::uint8_t> touched_mark(static_cast<std::size_t>(n), 0);
+  std::vector<Entry> touched; // (gain before the move, vertex)
 
   const double start_viol = bal.violation();
   const weight_t start_cut = cut;
@@ -342,24 +345,33 @@ bool hg_fm_pass(const Hypergraph& h, std::vector<std::uint8_t>& side, HgBalance&
     ++count[1 - from];
     moved.push_back(v);
 
-    // Update pin counts, then recompute gains of unlocked pins in v's nets
-    // (nets are small for mesh hypergraphs, so direct recomputation is cheap).
+    // Delta-gain update: a net shifts the gains of its unlocked pins only
+    // when a side's pin count crosses 0 or 1. Every vertex whose gain ends up
+    // changed is pushed once, with its final gain.
+    touched.clear();
     for (index_t net : h.nets_of(v)) {
       auto& po = pins_on[static_cast<std::size_t>(net)];
+      const std::array<index_t, 2> before = po;
       --po[static_cast<std::size_t>(from)];
       ++po[static_cast<std::size_t>(1 - from)];
-    }
-    for (index_t net : h.nets_of(v)) {
+      const weight_t c = h.net_cost(net);
+      const weight_t delta[2] = {net_gain(po, 0, c) - net_gain(before, 0, c),
+                                 net_gain(po, 1, c) - net_gain(before, 1, c)};
+      if (delta[0] == 0 && delta[1] == 0) continue;
       for (index_t u : h.pins(net)) {
         if (u == v || locked[static_cast<std::size_t>(u)]) continue;
-        const weight_t g_new = gain_of(u);
-        if (g_new != gain[static_cast<std::size_t>(u)]) {
-          gain[static_cast<std::size_t>(u)] = g_new;
-          heap[side[static_cast<std::size_t>(u)]].emplace(g_new, u);
+        if (!touched_mark[static_cast<std::size_t>(u)]) {
+          touched_mark[static_cast<std::size_t>(u)] = 1;
+          touched.emplace_back(gain[static_cast<std::size_t>(u)], u);
         }
+        gain[static_cast<std::size_t>(u)] += delta[side[static_cast<std::size_t>(u)]];
       }
     }
-    gain[static_cast<std::size_t>(v)] = gain_of(v);
+    for (const auto& [g_old, u] : touched) {
+      touched_mark[static_cast<std::size_t>(u)] = 0;
+      if (gain[static_cast<std::size_t>(u)] != g_old)
+        heap[side[static_cast<std::size_t>(u)]].emplace(gain[static_cast<std::size_t>(u)], u);
+    }
 
     const double viol_now = bal.violation();
     if (viol_now < best_viol - 1e-12 ||
@@ -540,18 +552,22 @@ std::pair<Hypergraph, std::vector<index_t>> hg_induced(const Hypergraph& h,
 }
 
 void hg_recurse_kway(const Hypergraph& h, std::span<const index_t> to_orig, rank_t k,
-                     rank_t part_base, const MultilevelConfig& cfg, Rng& rng,
-                     std::vector<rank_t>& out) {
+                     rank_t part_base, std::span<const double> part_share,
+                     const MultilevelConfig& cfg, Rng& rng, std::vector<rank_t>& out) {
   if (k == 1) {
     for (index_t v : to_orig) out[static_cast<std::size_t>(v)] = part_base;
     return;
   }
   const rank_t k0 = (k + 1) / 2;
-  const double frac0 = static_cast<double>(k0) / static_cast<double>(k);
-  // final_imbal applies per bisection (PaToH semantics): the end-to-end
-  // Eq. 21 imbalance compounds mildly across the log2(K) levels, which is
-  // exactly the behaviour of the paper's Fig. 7 (0.05 -> 11-19% total,
-  // 0.01 -> 2-7% total).
+  double frac0 = static_cast<double>(k0) / static_cast<double>(k);
+  if (!part_share.empty()) {
+    const auto first = part_share.begin() + part_base;
+    frac0 = std::accumulate(first, first + k0, 0.0) / std::accumulate(first, first + k, 0.0);
+  }
+  // cfg.eps applies per bisection (PaToH's final_imbal semantics): the
+  // end-to-end Eq. 21 imbalance compounds mildly across the log2(K) levels,
+  // which is exactly the behaviour of the paper's Fig. 7 (0.05 -> 11-19%
+  // total, 0.01 -> 2-7% total). The graph strategies pass a tightened eps.
   const auto side = hg_bisect_recursive(h, frac0, cfg, rng);
 
   std::vector<index_t> v0, v1;
@@ -566,8 +582,8 @@ void hg_recurse_kway(const Hypergraph& h, std::span<const index_t> to_orig, rank
 
   Rng rng0 = rng.fork();
   Rng rng1 = rng.fork();
-  hg_recurse_kway(h0, m0, k0, part_base, cfg, rng0, out);
-  hg_recurse_kway(h1, m1, k - k0, part_base + k0, cfg, rng1, out);
+  hg_recurse_kway(h0, m0, k0, part_base, part_share, cfg, rng0, out);
+  hg_recurse_kway(h1, m1, k - k0, part_base + k0, part_share, cfg, rng1, out);
 }
 
 } // namespace
@@ -575,20 +591,24 @@ void hg_recurse_kway(const Hypergraph& h, std::span<const index_t> to_orig, rank
 std::vector<std::uint8_t> hg_multilevel_bisect(const Hypergraph& h, double frac0,
                                                const MultilevelConfig& cfg) {
   LTS_CHECK(h.num_vertices() >= 2);
+  LTS_CHECK(frac0 > 0 && frac0 < 1);
   Rng rng(cfg.seed);
   return hg_bisect_recursive(h, frac0, cfg, rng);
 }
 
-Partition hg_recursive_bisection(const Hypergraph& h, rank_t k, const MultilevelConfig& cfg) {
+Partition hg_recursive_bisection(const Hypergraph& h, rank_t k, const MultilevelConfig& cfg,
+                                 std::span<const double> part_share) {
   LTS_CHECK(k >= 1);
   LTS_CHECK_MSG(h.num_vertices() >= k, "fewer vertices than parts");
+  LTS_CHECK(part_share.empty() || part_share.size() == static_cast<std::size_t>(k));
+  for (const double s : part_share) LTS_CHECK_MSG(s > 0, "part share " << s << " is not positive");
   Partition p;
   p.num_parts = k;
   p.part.assign(static_cast<std::size_t>(h.num_vertices()), 0);
   std::vector<index_t> ids(static_cast<std::size_t>(h.num_vertices()));
   std::iota(ids.begin(), ids.end(), 0);
   Rng rng(cfg.seed);
-  hg_recurse_kway(h, ids, k, 0, cfg, rng, p.part);
+  hg_recurse_kway(h, ids, k, 0, part_share, cfg, rng, p.part);
   return p;
 }
 

@@ -1,6 +1,7 @@
 #include "partition/partitioners.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 namespace ltswave::partition {
@@ -40,26 +41,22 @@ Strategy parse_strategy(std::string_view name) {
   return Strategy::ScotchP;
 }
 
-namespace {
-
-Partition scotch_partition(const mesh::HexMesh& m, std::span<const level_t> elem_levels,
-                           level_t num_levels, const PartitionerConfig& cfg) {
-  auto dual = graph::build_dual_graph(m, elem_levels);
-  graph::set_lts_vertex_weights(dual, elem_levels, num_levels, /*multi_constraint=*/false);
+MultilevelConfig graph_engine_config(const PartitionerConfig& cfg, rank_t k, std::uint64_t seed) {
   MultilevelConfig mc;
-  mc.eps = cfg.imbalance;
-  mc.seed = cfg.seed;
-  return recursive_bisection(dual, cfg.num_parts, mc);
+  mc.eps = cfg.imbalance / (1 + 0.5 * std::log2(k));
+  mc.seed = seed;
+  return mc;
 }
 
-Partition metis_partition(const mesh::HexMesh& m, std::span<const level_t> elem_levels,
-                          level_t num_levels, const PartitionerConfig& cfg) {
+namespace {
+
+Partition dual_graph_partition(const mesh::HexMesh& m, std::span<const level_t> elem_levels,
+                               level_t num_levels, const PartitionerConfig& cfg,
+                               bool multi_constraint) {
   auto dual = graph::build_dual_graph(m, elem_levels);
-  graph::set_lts_vertex_weights(dual, elem_levels, num_levels, /*multi_constraint=*/true);
-  MultilevelConfig mc;
-  mc.eps = cfg.imbalance;
-  mc.seed = cfg.seed;
-  return recursive_bisection(dual, cfg.num_parts, mc);
+  graph::set_lts_vertex_weights(dual, elem_levels, num_levels, multi_constraint);
+  return hg_recursive_bisection(graph::two_pin_hypergraph(dual), cfg.num_parts,
+                                graph_engine_config(cfg, cfg.num_parts, cfg.seed));
 }
 
 Partition patoh_partition(const mesh::HexMesh& m, std::span<const level_t> elem_levels,
@@ -115,10 +112,9 @@ Partition scotch_p_partition(const mesh::HexMesh& m, const CsrGraph& dual,
       std::vector<weight_t> unit(static_cast<std::size_t>(sub.num_vertices()), 1);
       sub.set_vertex_weights(std::move(unit), 1);
     }
-    MultilevelConfig mc;
-    mc.eps = cfg.imbalance;
-    mc.seed = cfg.seed + static_cast<std::uint64_t>(li) * 7919;
-    Partition level_part = recursive_bisection(sub, k_eff, mc);
+    const Partition level_part = hg_recursive_bisection(
+        graph::two_pin_hypergraph(sub), k_eff,
+        graph_engine_config(cfg, k_eff, cfg.seed + static_cast<std::uint64_t>(li) * 7919));
 
     // Couple the k_eff parts onto ranks: exactly one part per rank.
     const weight_t rate = static_cast<weight_t>(level_rate(li + 1));
@@ -223,8 +219,8 @@ Partition partition_mesh(const mesh::HexMesh& m, std::span<const level_t> elem_l
     return p;
   }
   switch (cfg.strategy) {
-    case Strategy::Scotch: return scotch_partition(m, elem_levels, num_levels, cfg);
-    case Strategy::Metis: return metis_partition(m, elem_levels, num_levels, cfg);
+    case Strategy::Scotch: return dual_graph_partition(m, elem_levels, num_levels, cfg, false);
+    case Strategy::Metis: return dual_graph_partition(m, elem_levels, num_levels, cfg, true);
     case Strategy::Patoh: return patoh_partition(m, elem_levels, num_levels, cfg);
     case Strategy::ScotchP: {
       const auto dual = graph::build_dual_graph(m, elem_levels);

@@ -6,21 +6,23 @@
 ///  a) Scotch    — single-constraint graph partition; vertex weight = p-level
 ///                 rate, so total work per Delta-t is balanced but individual
 ///                 substep levels are not. The paper's baseline.
-///  b) ScotchP   — every p-level partitioned separately into K parts with the
-///                 single-constraint engine, then exactly one part per level is
+///  b) ScotchP   — every p-level partitioned separately into K parts on a
+///                 single constraint, then exactly one part per level is
 ///                 coupled onto each processor (greedy, by boundary affinity).
 ///  c) Metis     — multi-constraint graph partition: one balance constraint
 ///                 per level (Eq. 19), edge-cut objective with p-weighted edges.
 ///  d) Patoh     — multi-constraint hypergraph partition minimizing the
 ///                 connectivity cut (Eq. 20) == per-cycle MPI volume, with the
 ///                 `final_imbal` balance knob.
+///
+/// All four run on one engine (hg_multilevel.hpp): the graph strategies hand
+/// it the dual graph as 2-pin nets, whose connectivity cut is the edge cut.
 
 #include <string>
 #include <string_view>
 
 #include "common/check.hpp"
 #include "partition/hg_multilevel.hpp"
-#include "partition/multilevel.hpp"
 
 namespace ltswave::partition {
 
@@ -66,6 +68,13 @@ struct PartitionerConfig {
 /// LTS level of every element; `num_levels` the level count.
 Partition partition_mesh(const mesh::HexMesh& m, std::span<const level_t> elem_levels,
                          level_t num_levels, const PartitionerConfig& cfg);
+
+/// Engine settings of the graph strategies (Scotch, ScotchP, Metis and
+/// refine_with_feedback) for a k-way split: the per-bisection slack
+/// cfg.imbalance / (1 + 0.5 log2 k) keeps the end-to-end imbalance near
+/// cfg.imbalance across the log2(k) recursion levels.
+[[nodiscard]] MultilevelConfig graph_engine_config(const PartitionerConfig& cfg, rank_t k,
+                                                   std::uint64_t seed);
 
 /// ScotchP internals exposed for tests/ablation: partitions each level
 /// separately and couples parts onto ranks.

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/executor.hpp"
+#include "mesh/generators.hpp"
 #include "scenarios/scenario.hpp"
 
 namespace ltswave::conformance {
@@ -117,6 +118,16 @@ inline const scenarios::RunResult& baseline(const Variant& like) {
     it = cache.emplace(key, run_variant(base)).first;
   }
   return it->second;
+}
+
+/// A quasi-1D strip whose cell widths halve twice and recover, so levels 1,
+/// 2 and 3 all hold elements. (make_strip_mesh squeezes in one jump: its
+/// intermediate levels are empty.)
+inline mesh::HexMesh graded_strip() {
+  std::vector<real_t> xs{0};
+  for (const auto& [cells, width] : {std::pair{8, 1.0}, {6, 0.5}, {8, 0.25}, {4, 0.5}, {6, 1.0}})
+    for (int i = 0; i < cells; ++i) xs.push_back(xs.back() + width);
+  return mesh::make_structured(xs, {0, 1}, {0, 1});
 }
 
 } // namespace ltswave::conformance

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <limits>
 
+#include "conformance_utils.hpp"
 #include "core/simulation.hpp"
 #include "mesh/generators.hpp"
 #include "partition/feedback.hpp"
@@ -22,8 +23,11 @@ struct FeedbackRig {
   core::LevelAssignment levels;
   Partition part;
 
-  explicit FeedbackRig(rank_t k) : mesh(mesh::make_strip_mesh(16, 0.3, 4.0)) {
+  explicit FeedbackRig(rank_t k) : mesh(conformance::graded_strip()) {
     levels = core::assign_levels(mesh, 0.08);
+    // Three non-empty levels: refine_with_feedback balances three constraints.
+    EXPECT_EQ(levels.num_levels, 3);
+    for (const index_t count : levels.level_counts) EXPECT_GT(count, 0);
     PartitionerConfig cfg;
     cfg.strategy = Strategy::ScotchP;
     cfg.num_parts = k;

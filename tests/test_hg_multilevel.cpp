@@ -1,12 +1,17 @@
-// Multilevel hypergraph partitioner tests: connectivity cut (Eq. 20) quality,
-// balance with the final_imbal knob, and agreement between the hypergraph cut
-// size and the independently computed per-cycle communication volume.
+// Multilevel hypergraph partitioner tests — the one engine behind every
+// strategy. On the LTS hypergraph: connectivity cut (Eq. 20) quality, balance
+// with the final_imbal knob, and agreement between the hypergraph cut size and
+// the independently computed per-cycle communication volume, and lambda-1 ==
+// edge cut on a dual graph converted to 2-pin nets. The graph strategies'
+// cases (2-pin grids) are in test_multilevel.cpp.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "common/rng.hpp"
 #include "graph/builders.hpp"
 #include "mesh/generators.hpp"
 #include "partition/hg_multilevel.hpp"
@@ -49,6 +54,34 @@ TEST(HgBisect, DeterministicBySeed) {
   MultilevelConfig cfg;
   cfg.seed = 4242;
   EXPECT_EQ(hg_multilevel_bisect(h, 0.5, cfg), hg_multilevel_bisect(h, 0.5, cfg));
+}
+
+TEST(HgBisect, RejectsTargetFractionOutsideOpenInterval) {
+  const auto m = mesh::make_uniform_box(2, 2, 2);
+  std::vector<level_t> lv(static_cast<std::size_t>(m.num_elems()), 1);
+  const auto h = graph::build_lts_hypergraph(m, lv, 1);
+  MultilevelConfig cfg;
+  for (const double frac0 : {0.0, 1.0, std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_THROW(hg_multilevel_bisect(h, frac0, cfg), CheckFailure) << "frac0=" << frac0;
+}
+
+TEST(HgKway, TwoPinCutIsEdgeCut) {
+  // On 2-pin nets lambda-1 is exactly the edge cut: the converted p-weighted
+  // dual graph's connectivity cut equals the metrics' weighted edge cut for
+  // arbitrary K-way assignments.
+  const auto m = mesh::make_trench_mesh({.n = 8, .nz = 5, .squeeze = 4.0,
+                                         .trench_halfwidth = 0.08, .depth_power = 2.0, .mat = {}});
+  const auto [lv, nl] = cfl_levels(m);
+  ASSERT_GE(nl, 2);
+  const auto h = graph::two_pin_hypergraph(graph::build_dual_graph(m, lv));
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    Rng rng(seed);
+    const auto k = static_cast<rank_t>(2 + rng.uniform(7));
+    Partition p{k, std::vector<rank_t>(static_cast<std::size_t>(m.num_elems()))};
+    for (rank_t& r : p.part) r = static_cast<rank_t>(rng.uniform(static_cast<std::uint64_t>(k)));
+    EXPECT_EQ(graph::hypergraph_cutsize(h, p.part), compute_metrics(m, lv, nl, p).edge_cut)
+        << "seed " << seed;
+  }
 }
 
 class HgKway : public testing::TestWithParam<rank_t> {};

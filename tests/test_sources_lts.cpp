@@ -10,8 +10,8 @@
 
 #include <cmath>
 
+#include "conformance_utils.hpp"
 #include "core/simulation.hpp"
-#include "mesh/generators.hpp"
 #include "runtime/threaded_lts.hpp"
 
 namespace ltswave::core {
@@ -45,11 +45,12 @@ struct SourceRig {
   LevelAssignment levels;
   LtsStructure structure;
 
-  explicit SourceRig(real_t courant) : mesh(mesh::make_strip_mesh(16, 0.3, 4.0)) {
+  explicit SourceRig(real_t courant) : mesh(conformance::graded_strip()) {
     space = std::make_unique<sem::SemSpace>(mesh, 2);
     op = std::make_unique<sem::AcousticOperator>(*space);
     levels = assign_levels(mesh, courant);
     structure = build_lts_structure(*space, levels);
+    for (const index_t count : levels.level_counts) EXPECT_GT(count, 0);
   }
 
   /// A node updated at the finest level — its source terms hit every

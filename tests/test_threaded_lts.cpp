@@ -12,12 +12,15 @@
 #include <tuple>
 
 #include "common/rng.hpp"
+#include "conformance_utils.hpp"
 #include "mesh/generators.hpp"
 #include "partition/partitioners.hpp"
 #include "runtime/threaded_lts.hpp"
 
 namespace ltswave::runtime {
 namespace {
+
+using conformance::graded_strip;
 
 SchedulerConfig cfg_for(SchedulerMode mode) {
   SchedulerConfig cfg;
@@ -112,8 +115,9 @@ TEST_P(ThreadedModes, MatchesReferenceOnTwoLevelMesh) {
 
 TEST_P(ThreadedModes, MatchesReferenceOnThreeLevelMesh) {
   const auto [mode, k] = GetParam();
-  Rig s(mesh::make_strip_mesh(16, 0.3, 4.0));
-  ASSERT_GE(s.levels.num_levels, 3);
+  Rig s(graded_strip());
+  ASSERT_EQ(s.levels.num_levels, 3);
+  for (const index_t count : s.levels.level_counts) ASSERT_GT(count, 0);
   const auto part = s.make_partition(k);
   expect_matches_reference(s, part, mode, 5);
 }
@@ -371,16 +375,6 @@ TEST(Threaded, StealSchedulerBitwiseDeterministicWithSources) {
       EXPECT_EQ(first_trace, solver.traces()[idx].values);
     }
   }
-}
-
-/// A quasi-1D strip whose cell widths halve twice and recover, so levels 1,
-/// 2 and 3 all hold elements. (make_strip_mesh squeezes in one jump: its
-/// intermediate levels are empty.)
-mesh::HexMesh graded_strip() {
-  std::vector<real_t> xs{0};
-  for (const auto& [cells, width] : {std::pair{8, 1.0}, {6, 0.5}, {8, 0.25}, {4, 0.5}, {6, 1.0}})
-    for (int i = 0; i < cells; ++i) xs.push_back(xs.back() + width);
-  return mesh::make_structured(xs, {0, 1}, {0, 1});
 }
 
 TEST(Threaded, IntermediateLevelSourceMatchesReferenceEveryMode) {

@@ -101,8 +101,6 @@ DOUBLE_ALLOWLIST = {
     "src/partition/partition.hpp": "imbalance percentages (Eq. 21 metrics)",
     "src/partition/partition.cpp": "imbalance percentages (Eq. 21 metrics)",
     "src/partition/partitioners.hpp": "imbalance tolerance epsilon",
-    "src/partition/multilevel.hpp": "bisection imbalance epsilon",
-    "src/partition/multilevel.cpp": "gain/balance arithmetic on weights",
     "src/partition/hg_multilevel.hpp": "hypergraph imbalance epsilon",
     "src/partition/hg_multilevel.cpp": "gain/balance arithmetic on weights",
     "src/partition/feedback.hpp": "measured busy/stall seconds fed back",
