@@ -20,9 +20,10 @@
 // run reports and BENCH JSON emission use, so the microbench counters and the
 // solver-level roofline columns cannot drift apart. The benches take their
 // bytes from perf::roofline_for_plan on the *actual* plan they run, so blocks
-// the plan classified affine are charged the compact separable metric, not the
-// full planes — the uniform box fixture is all-affine, and charging it full
-// planes overstated bytes (and understated ai) by ~2x.
+// the plan classified affine are charged the compact separable metric and the
+// rest the trilinear rows plus the per-point geometry flops. The uniform box
+// fixture is all-affine; the *Warped variants bend it so every block takes
+// the on-the-fly geometry path.
 //
 // Every BENCH_kernels.json carries the compiled SIMD backend in its context
 // ("simd_isa", "simd_width"), so numbers from different builds (avx512 /
@@ -32,10 +33,11 @@
 // results are written as machine-readable JSON to BENCH_kernels.json so the
 // perf trajectory accumulates across runs/commits. A companion
 // <out>_roofline.json carries perf::RunReport records with the static and
-// plan-aware roofline numbers per (physics, order).
+// plan-aware roofline numbers per (physics, order, mesh).
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstring>
 #include <iostream>
 #include <memory>
@@ -85,7 +87,16 @@ struct KernelFixture {
   std::unique_ptr<sem::SemSpace> space;
   std::vector<index_t> all;
 
-  explicit KernelFixture(int order) : m(mesh::make_uniform_box(8, 8, 8)) {
+  /// 8^3 unit box. Uniform, every element is a parallelepiped and every
+  /// block takes the compact affine metric; `warped` bends the nodes so no
+  /// element is affine and every block rebuilds its geometry per point.
+  explicit KernelFixture(int order, bool warped = false) : m(mesh::make_uniform_box(8, 8, 8)) {
+    if (warped)
+      mesh::warp_nodes(m, [](real_t& x, real_t& y, real_t& z) {
+        x += 0.02 * std::sin(2 * y + z);
+        y += 0.015 * std::cos(3 * x);
+        z += 0.015 * std::sin(x + 2 * y);
+      });
     space = std::make_unique<sem::SemSpace>(m, order);
     all.resize(static_cast<std::size_t>(m.num_elems()));
     std::iota(all.begin(), all.end(), 0);
@@ -104,38 +115,44 @@ struct KernelFixture {
 };
 
 // ---------------------------------------------------------------------------
-// Full applies: block iteration over the operator's full-mesh BatchPlan
+// Full applies: block iteration over the operator's full-mesh BatchPlan, on
+// the all-affine box and on the warped box (geometry on the fly)
 // ---------------------------------------------------------------------------
 
-void BM_AcousticApply(benchmark::State& state) {
-  KernelFixture f(static_cast<int>(state.range(0)));
-  sem::AcousticOperator op(*f.space);
+template <class Op>
+void full_apply(benchmark::State& state, bool warped) {
+  KernelFixture f(static_cast<int>(state.range(0)), warped);
+  Op op(*f.space);
   auto ws = op.make_workspace();
   const sem::BatchPlan& plan = op.full_plan();
-  std::vector<real_t> u(static_cast<std::size_t>(f.space->num_global_nodes()), 1.0);
+  std::vector<real_t> u(
+      static_cast<std::size_t>(f.space->num_global_nodes()) * static_cast<std::size_t>(op.ncomp()),
+      1.0);
   std::vector<real_t> out(u.size(), 0.0);
   for (auto _ : state) {
     op.apply_add_blocks(plan, 0, plan.num_blocks(), u.data(), out.data(), ws);
     benchmark::DoNotOptimize(out.data());
   }
   set_plan_counters(state, plan);
+}
+
+void BM_AcousticApply(benchmark::State& state) {
+  full_apply<sem::AcousticOperator>(state, false);
 }
 BENCHMARK(BM_AcousticApply)->Arg(2)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
 
-void BM_ElasticApply(benchmark::State& state) {
-  KernelFixture f(static_cast<int>(state.range(0)));
-  sem::ElasticOperator op(*f.space);
-  auto ws = op.make_workspace();
-  const sem::BatchPlan& plan = op.full_plan();
-  std::vector<real_t> u(static_cast<std::size_t>(f.space->num_global_nodes()) * 3, 1.0);
-  std::vector<real_t> out(u.size(), 0.0);
-  for (auto _ : state) {
-    op.apply_add_blocks(plan, 0, plan.num_blocks(), u.data(), out.data(), ws);
-    benchmark::DoNotOptimize(out.data());
-  }
-  set_plan_counters(state, plan);
-}
+void BM_ElasticApply(benchmark::State& state) { full_apply<sem::ElasticOperator>(state, false); }
 BENCHMARK(BM_ElasticApply)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+
+void BM_AcousticApplyWarped(benchmark::State& state) {
+  full_apply<sem::AcousticOperator>(state, true);
+}
+BENCHMARK(BM_AcousticApplyWarped)->Arg(2)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
+
+void BM_ElasticApplyWarped(benchmark::State& state) {
+  full_apply<sem::ElasticOperator>(state, true);
+}
+BENCHMARK(BM_ElasticApplyWarped)->Arg(2)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Column-masked (LTS) apply
@@ -188,25 +205,28 @@ void BM_LtsCyclePerDof(benchmark::State& state) {
 BENCHMARK(BM_LtsCyclePerDof)->Unit(benchmark::kMillisecond);
 
 // Structured roofline reports for the kernel grid the benchmarks above cover:
-// one perf::RunReport per (physics, order) with the plan-aware roofline of
-// the same 8^3 box fixture, so BENCH JSON consumers get the flop/byte balance
+// one perf::RunReport per (physics, order, mesh) with the plan-aware roofline
+// of the same 8^3 box fixture, so BENCH JSON consumers get the flop/byte balance
 // in the run-report schema, not just as per-benchmark counters.
 std::vector<perf::RunReport> roofline_reports() {
   struct Point {
     const char* physics;
     int ncomp;
     int order;
+    bool warped;
   };
-  const Point grid[] = {{"acoustic", 1, 2}, {"acoustic", 1, 4}, {"acoustic", 1, 6},
-                        {"elastic", 3, 2},  {"elastic", 3, 4}};
+  const Point grid[] = {{"acoustic", 1, 2, false}, {"acoustic", 1, 4, false},
+                        {"acoustic", 1, 6, false}, {"elastic", 3, 2, false},
+                        {"elastic", 3, 4, false},  {"acoustic", 1, 4, true},
+                        {"elastic", 3, 4, true}};
   std::vector<perf::RunReport> out;
   for (const auto& p : grid) {
-    KernelFixture f(p.order);
+    KernelFixture f(p.order, p.warped);
     perf::RunReport r;
     r.executor = "microbench";
     r.scenario = std::string("kernels/") + p.physics;
     r.config = std::string("physics=") + p.physics + " order=" + std::to_string(p.order) +
-               " mesh=box n=8";
+               (p.warped ? " mesh=warped-box n=8" : " mesh=box n=8");
     if (p.ncomp == 1) {
       sem::AcousticOperator op(*f.space);
       r.roofline = perf::roofline_for_plan(op.full_plan());

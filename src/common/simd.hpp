@@ -5,7 +5,7 @@
 ///
 /// `Vec<T, W>` is a W-lane value type providing exactly the operations the
 /// lane-interleaved block kernels need: unaligned load/store, broadcast,
-/// add/sub/mul, fused multiply-add, and masked (partial) load/store for
+/// add/sub/mul/div, fused multiply-add, and masked (partial) load/store for
 /// ragged block tails. The generic template is a plain array with per-lane
 /// loops — every width is instantiable on every target (the unit tests sweep
 /// W = 1/2/4/8) — and the ISA specializations below map Vec<double, W> onto
@@ -93,6 +93,11 @@ struct Vec {
     for (int i = 0; i < W; ++i) r.lane[i] = a.lane[i] * b.lane[i];
     return r;
   }
+  friend Vec operator/(Vec a, Vec b) noexcept {
+    Vec r;
+    for (int i = 0; i < W; ++i) r.lane[i] = a.lane[i] / b.lane[i];
+    return r;
+  }
   /// a*b + c per lane. Plain expression (not a libm fma call): under the
   /// Release FP contraction rules the compiler fuses it where profitable,
   /// matching what the old autovectorized kernels generated.
@@ -128,6 +133,7 @@ struct Vec<double, 8> {
   friend Vec operator+(Vec a, Vec b) noexcept { return {_mm512_add_pd(a.v, b.v)}; }
   friend Vec operator-(Vec a, Vec b) noexcept { return {_mm512_sub_pd(a.v, b.v)}; }
   friend Vec operator*(Vec a, Vec b) noexcept { return {_mm512_mul_pd(a.v, b.v)}; }
+  friend Vec operator/(Vec a, Vec b) noexcept { return {_mm512_div_pd(a.v, b.v)}; }
   friend Vec fma(Vec a, Vec b, Vec c) noexcept { return {_mm512_fmadd_pd(a.v, b.v, c.v)}; }
 };
 
@@ -160,6 +166,7 @@ struct Vec<double, 4> {
   friend Vec operator+(Vec a, Vec b) noexcept { return {_mm256_add_pd(a.v, b.v)}; }
   friend Vec operator-(Vec a, Vec b) noexcept { return {_mm256_sub_pd(a.v, b.v)}; }
   friend Vec operator*(Vec a, Vec b) noexcept { return {_mm256_mul_pd(a.v, b.v)}; }
+  friend Vec operator/(Vec a, Vec b) noexcept { return {_mm256_div_pd(a.v, b.v)}; }
 #if defined(__FMA__) || defined(__AVX512F__)
   friend Vec fma(Vec a, Vec b, Vec c) noexcept { return {_mm256_fmadd_pd(a.v, b.v, c.v)}; }
 #else
@@ -195,6 +202,7 @@ struct Vec<double, 2> {
   friend Vec operator+(Vec a, Vec b) noexcept { return {vaddq_f64(a.v, b.v)}; }
   friend Vec operator-(Vec a, Vec b) noexcept { return {vsubq_f64(a.v, b.v)}; }
   friend Vec operator*(Vec a, Vec b) noexcept { return {vmulq_f64(a.v, b.v)}; }
+  friend Vec operator/(Vec a, Vec b) noexcept { return {vdivq_f64(a.v, b.v)}; }
   friend Vec fma(Vec a, Vec b, Vec c) noexcept { return {vfmaq_f64(c.v, a.v, b.v)}; }
 };
 

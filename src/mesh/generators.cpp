@@ -190,15 +190,26 @@ HexMesh make_crust_mesh(const CrustSpec& spec) {
 }
 
 HexMesh make_strip_mesh(index_t nx, real_t fine_frac, real_t squeeze) {
-  LTS_CHECK(nx >= 2 && fine_frac > 0 && fine_frac < 1 && squeeze >= 1);
-  // Fine cells of width w/squeeze on the left fraction, coarse width w right.
+  LTS_CHECK(nx >= 2 && fine_frac > 0 && fine_frac < 1 && squeeze >= 1 &&
+            std::isfinite(squeeze));
+  // Fine cells of width w/squeeze on the left fraction, coarse width w on the
+  // right, and between them one grading cell at each power-of-two multiple
+  // of the fine width below w (relative widths 2/squeeze, 4/squeeze, ...),
+  // so every LTS level between the finest and the coarsest holds an element.
+  // The grading cells come out of the coarse count: nx stays the total.
+  std::vector<real_t> grade;
+  for (real_t r = 2 / squeeze; r < 1; r *= 2) grade.push_back(r);
   const auto n_fine = static_cast<index_t>(std::round(static_cast<real_t>(nx) * fine_frac));
-  const index_t n_coarse = nx - n_fine;
-  LTS_CHECK(n_fine >= 1 && n_coarse >= 1);
-  const real_t w_coarse = 1.0 / (static_cast<real_t>(n_coarse) + static_cast<real_t>(n_fine) / squeeze);
-  const real_t w_fine = w_coarse / squeeze;
+  const index_t n_coarse = nx - n_fine - static_cast<index_t>(grade.size());
+  LTS_CHECK_MSG(n_fine >= 1 && n_coarse >= 1,
+                "strip of " << nx << " cells has no room for " << n_fine << " fine, "
+                            << grade.size() << " grading and a coarse cell");
+  real_t units = static_cast<real_t>(n_coarse) + static_cast<real_t>(n_fine) / squeeze;
+  for (const real_t r : grade) units += r;
+  const real_t w_coarse = 1.0 / units;
   std::vector<real_t> xs = {0.0};
-  for (index_t i = 0; i < n_fine; ++i) xs.push_back(xs.back() + w_fine);
+  for (index_t i = 0; i < n_fine; ++i) xs.push_back(xs.back() + w_coarse / squeeze);
+  for (const real_t r : grade) xs.push_back(xs.back() + w_coarse * r);
   for (index_t i = 0; i < n_coarse; ++i) xs.push_back(xs.back() + w_coarse);
   const std::vector<real_t> y = {0.0, w_coarse}, z = {0.0, w_coarse};
   return make_structured(xs, y, z);

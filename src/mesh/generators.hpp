@@ -86,7 +86,10 @@ HexMesh make_crust_mesh(const CrustSpec& spec = {});
 
 /// Quasi-1D strip (nx x 1 x 1 elements) with the leftmost `fine_frac` portion
 /// squeezed by `squeeze`; reproduces the Fig. 1 illustration (4 elements,
-/// coarse/fine halves) at any resolution.
+/// coarse/fine halves) at any resolution. The fine-to-coarse jump is graded
+/// through one cell at each intermediate power-of-two width (one cell of
+/// half the coarse width at squeeze 4, none at squeeze 2), taken from the
+/// coarse cells, so every LTS level in between is populated.
 HexMesh make_strip_mesh(index_t nx, real_t fine_frac = 0.5, real_t squeeze = 2.0);
 
 } // namespace ltswave::mesh

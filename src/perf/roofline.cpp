@@ -14,22 +14,32 @@ double npts_of(int nodes_1d) {
 }
 
 /// Streamed values per point that scale with npts (gather + field + output
-/// read/write), shared by the full and affine byte models.
+/// read/write), shared by both block forms.
 double field_planes(int ncomp) {
   // l2g index + ncomp field planes + ncomp output planes read and written.
   return 1.0 + static_cast<double>(ncomp) + 2.0 * static_cast<double>(ncomp);
 }
 
-/// Metric planes streamed per point with full slabs: the fused acoustic G has
-/// 6 independent entries, the elastic kernel reads jinv (9) + wdet*jinv (9).
-double metric_planes(int ncomp) {
+/// Lane constants per element: the trilinear corner map of a non-affine
+/// block (21 coefficients), the compact metric of an affine one (6 acoustic,
+/// 9 + 9 elastic).
+double geometry_constants(int ncomp, bool affine) {
+  if (!affine) return static_cast<double>(sem::kernels::kTrilinearRows);
   return ncomp == 1 ? 6.0 : 18.0;
 }
 
-/// Per-element metric constants of an affine block (lane constants, not
-/// per-point planes).
-double metric_constants(int ncomp) {
-  return ncomp == 1 ? 6.0 : 18.0;
+/// Pointwise arithmetic per quadrature point, after the contractions.
+/// Affine blocks apply constant metrics: acoustic 18 (three 5-op rows plus
+/// the kappa scale), elastic 116 (gradient 45, trace 2, stress 24, flux 45).
+/// Non-affine blocks first rebuild the geometry: the Jacobian from the
+/// trilinear rows (18 FMAs per line of n1 points for the (eta, zeta) parts,
+/// then 6 FMAs per point), its adjugate (9 x 3 = 27) and det (5). Then they
+/// apply it: acoustic 35 (kappa * w / det 2, adj^T and the scale 18, adj 15),
+/// elastic 119 (w / det and the two scaled moduli 3, plus the same 116).
+double pointwise_flops(int ncomp, int nodes_1d, bool affine) {
+  if (affine) return ncomp == 1 ? 18.0 : 116.0;
+  const double geometry = 36.0 / nodes_1d + 12 + 27 + 5;
+  return geometry + (ncomp == 1 ? 35.0 : 119.0);
 }
 
 const char* physics_name(int ncomp) {
@@ -41,28 +51,32 @@ void check_args(int ncomp, int nodes_1d) {
   LTS_CHECK_MSG(nodes_1d >= 2, "roofline: nodes_1d must be >= 2");
 }
 
-} // namespace
-
-double flops_per_elem(int ncomp, int nodes_1d) {
+double flops_model(int ncomp, int nodes_1d, bool affine) {
   check_args(ncomp, nodes_1d);
   const double n1 = nodes_1d;
-  // Three derivative contractions (2*n1-1 ops per output per component),
-  // three transposed contractions (2*n1), then the pointwise metric work:
-  // 18 ops + 1 accumulate per point acoustic, 116 + 3 elastic.
-  if (ncomp == 1) return npts_of(nodes_1d) * (3 * (2 * n1 - 1) + 3 * (2 * n1) + 18 + 1);
-  return npts_of(nodes_1d) * (9 * (2 * n1 - 1) + 9 * (2 * n1) + 116 + 3);
+  const double comps = ncomp;
+  // Per component: three derivative contractions (2*n1-1 ops per output),
+  // three transposed contractions (2*n1); then the pointwise work and one
+  // accumulate per component.
+  return npts_of(nodes_1d) *
+         (3 * comps * (2 * n1 - 1) + 3 * comps * (2 * n1) + pointwise_flops(ncomp, nodes_1d, affine) + comps);
 }
 
-double bytes_per_elem_full(int ncomp, int nodes_1d) {
-  check_args(ncomp, nodes_1d);
-  return npts_of(nodes_1d) * kBytesPerValue * (field_planes(ncomp) + metric_planes(ncomp));
-}
-
-double bytes_per_elem_affine(int ncomp, int nodes_1d) {
+double bytes_model(int ncomp, int nodes_1d, bool affine) {
   check_args(ncomp, nodes_1d);
   return npts_of(nodes_1d) * kBytesPerValue * field_planes(ncomp) +
-         metric_constants(ncomp) * kBytesPerValue;
+         geometry_constants(ncomp, affine) * kBytesPerValue;
 }
+
+} // namespace
+
+double flops_per_elem_full(int ncomp, int nodes_1d) { return flops_model(ncomp, nodes_1d, false); }
+
+double flops_per_elem_affine(int ncomp, int nodes_1d) { return flops_model(ncomp, nodes_1d, true); }
+
+double bytes_per_elem_full(int ncomp, int nodes_1d) { return bytes_model(ncomp, nodes_1d, false); }
+
+double bytes_per_elem_affine(int ncomp, int nodes_1d) { return bytes_model(ncomp, nodes_1d, true); }
 
 namespace {
 
@@ -83,7 +97,7 @@ RooflineStat roofline_static(int ncomp, int order) {
   s.order = order;
   s.block_width = 0;
   s.elements = 1;
-  s.flops_per_elem = flops_per_elem(ncomp, n1);
+  s.flops_per_elem = flops_per_elem_full(ncomp, n1);
   s.bytes_per_elem = bytes_per_elem_full(ncomp, n1);
   return finish(s);
 }
@@ -91,17 +105,21 @@ RooflineStat roofline_static(int ncomp, int order) {
 RooflineStat roofline_for_plan(const sem::BatchPlan& plan) {
   const int ncomp = plan.ncomp();
   const int n1 = plan.space().ref().nodes_1d();
-  const double full = bytes_per_elem_full(ncomp, n1);
-  const double affine = bytes_per_elem_affine(ncomp, n1);
+  const double flops_full = flops_per_elem_full(ncomp, n1);
+  const double flops_affine = flops_per_elem_affine(ncomp, n1);
+  const double bytes_full = bytes_per_elem_full(ncomp, n1);
+  const double bytes_affine = bytes_per_elem_affine(ncomp, n1);
   // Mixed blocks additionally stream their 0/1 column-mask slab (one plane).
   const double mask_plane = static_cast<double>(plan.npts()) * kBytesPerValue;
 
   std::int64_t elements = 0;
-  double bytes = 0;
+  double flops = 0, bytes = 0;
   for (index_t b = 0; b < plan.num_blocks(); ++b) {
     const auto fill = static_cast<double>(plan.block_fill(b));
+    const bool affine = plan.block_affine(b);
     elements += plan.block_fill(b);
-    bytes += fill * (plan.block_affine(b) ? affine : full);
+    flops += fill * (affine ? flops_affine : flops_full);
+    bytes += fill * (affine ? bytes_affine : bytes_full);
     if (plan.mask(b) != nullptr) bytes += fill * mask_plane;
   }
 
@@ -110,7 +128,7 @@ RooflineStat roofline_for_plan(const sem::BatchPlan& plan) {
   s.order = plan.space().order();
   s.block_width = plan.width();
   s.elements = elements;
-  s.flops_per_elem = flops_per_elem(ncomp, n1);
+  s.flops_per_elem = elements > 0 ? flops / static_cast<double>(elements) : 0.0;
   s.bytes_per_elem = elements > 0 ? bytes / static_cast<double>(elements) : 0.0;
   return finish(s);
 }

@@ -1,6 +1,7 @@
 #include "sem/batch_plan.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -13,8 +14,8 @@ namespace {
 /// Tolerance of the affine-element detection: an element is affine when the
 /// bilinear and trilinear coefficients of its trilinear map stay within this
 /// relative band of the linear ones. Elements that miss it (warped geometry,
-/// or merely unlucky rounding) take the full-plane path, so the test is
-/// purely a bandwidth optimization and never a correctness gate.
+/// or merely unlucky rounding) take the on-the-fly geometry path, so the test
+/// is purely a speed optimization and never a correctness gate.
 constexpr real_t kAffineTol = 64 * std::numeric_limits<real_t>::epsilon();
 
 /// True when every node of element e carries exactly `level`.
@@ -25,6 +26,29 @@ bool elem_homogeneous_at(const SemSpace& space, index_t e, level_t level,
   for (int q = 0; q < npts; ++q)
     if (node_level[static_cast<std::size_t>(l2g[q])] != level) return false;
   return true;
+}
+
+/// Monomial coefficients of element e's trilinear map: x(xi) = sum_m A_m
+/// xi^a eta^b zeta^c (a, b, c in {0, 1}), monomial bit 1 = xi, 2 = eta,
+/// 4 = zeta. A_m = 1/8 sum_c s_c x_c, with s_c the product of the corner's
+/// +-1 signs over the monomial's axes.
+using TrilinearMap = std::array<std::array<real_t, 3>, 8>;
+
+TrilinearMap trilinear_map(const SemSpace& space, index_t e) {
+  const auto& m = space.mesh();
+  const index_t* c = m.corners(e);
+  TrilinearMap a{};
+  for (int corner = 0; corner < 8; ++corner) {
+    const real_t* xc = m.node(c[corner]);
+    for (int mono = 0; mono < 8; ++mono) {
+      const real_t s = (std::popcount(static_cast<unsigned>(mono & ~corner)) % 2) ? -1.0 : 1.0;
+      for (int d = 0; d < 3; ++d)
+        a[static_cast<std::size_t>(mono)][static_cast<std::size_t>(d)] += s * xc[d];
+    }
+  }
+  for (auto& row : a)
+    for (real_t& v : row) v *= 0.125; // a power of two: exact
+  return a;
 }
 
 } // namespace
@@ -40,27 +64,14 @@ std::vector<index_t> order_homogeneous_first(const SemSpace& space,
 }
 
 bool BatchPlan::elem_affine(const SemSpace& space, index_t e) {
-  // Expand the trilinear map x(xi) = sum_c N_c(xi) x_c in the monomials
-  // xi^a eta^b zeta^c (a, b, c in {0, 1}); monomial bit 1 = xi, 2 = eta,
-  // 4 = zeta. Its coefficient (times 8) is sum_c s_c x_c with s_c the product
-  // of the corner's +-1 signs over the monomial's axes. The map — and with it
-  // every metric — is affine exactly when the bilinear and trilinear
-  // coefficients (monomials 3, 5, 6, 7) vanish.
-  const auto& m = space.mesh();
-  const index_t* c = m.corners(e);
-  real_t coef[8][3] = {};
-  for (int corner = 0; corner < 8; ++corner) {
-    const real_t* xc = m.node(c[corner]);
-    for (int mono = 1; mono < 8; ++mono) {
-      const real_t s = (std::popcount(static_cast<unsigned>(mono & ~corner)) % 2) ? -1.0 : 1.0;
-      for (int d = 0; d < 3; ++d) coef[mono][d] += s * xc[d];
-    }
-  }
+  // The map — and with it every metric — is affine exactly when the bilinear
+  // and trilinear coefficients (monomials 3, 5, 6, 7) vanish.
+  const TrilinearMap a = trilinear_map(space, e);
   real_t linear = 0, nonlinear = 0;
   for (int mono = 1; mono < 8; ++mono)
     for (int d = 0; d < 3; ++d) {
       real_t& mag = std::has_single_bit(static_cast<unsigned>(mono)) ? linear : nonlinear;
-      mag = std::max(mag, std::abs(coef[mono][d]));
+      mag = std::max(mag, std::abs(a[static_cast<std::size_t>(mono)][static_cast<std::size_t>(d)]));
     }
   return nonlinear <= kAffineTol * linear;
 }
@@ -85,10 +96,11 @@ BatchPlan::BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups
             w1[static_cast<std::size_t>(i)] * w1[static_cast<std::size_t>(j)] *
             w1[static_cast<std::size_t>(k)];
 
-  // Metric words per block: compact lane constants for affine blocks, full
-  // lane-interleaved planes otherwise.
-  const std::size_t full_words = slab_size() * (ncomp_ == 1 ? 6u : 18u);
-  const std::size_t compact_words = static_cast<std::size_t>(width_) * (ncomp_ == 1 ? 6u : 18u);
+  // Metric words per block: lane constant rows either way — the compact
+  // metric of an affine block, or the trilinear coefficients of any other.
+  const auto W = static_cast<std::size_t>(width_);
+  const std::size_t compact_words = W * (ncomp_ == 1 ? 6u : 18u);
+  const std::size_t trilinear_words = W * static_cast<std::size_t>(kernels::kTrilinearRows);
 
   // Pass 1: block layout. Groups never share a block, so every block belongs
   // to one (group, level) and a group's blocks are contiguous in plan order.
@@ -112,7 +124,7 @@ BatchPlan::BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups
     for (int l = 0; l < blk.fill && blk.affine; ++l)
       blk.affine = elem_affine(*space_, belems[static_cast<std::size_t>(l)]);
     blk.metric_off = metric_count_;
-    metric_count_ += blk.affine ? compact_words : full_words;
+    metric_count_ += blk.affine ? compact_words : trilinear_words;
     for (int l = 0; l < width_; ++l)
       elem_ids_.push_back(belems[static_cast<std::size_t>(std::min(l, blk.fill - 1))]);
     blocks_.push_back(blk);
@@ -139,7 +151,6 @@ BatchPlan::BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups
       // homogeneous elements trail the first mixed one, keep them with the
       // mixed segment — correctness never depends on the split.
     }
-    const auto W = static_cast<std::size_t>(width_);
     for (const auto segment : {all.subspan(0, split), all.subspan(split)})
       for (std::size_t at = 0; at < segment.size(); at += W)
         append_block(static_cast<index_t>(g),
@@ -160,11 +171,10 @@ void BatchPlan::fill(index_t b0, index_t b1) {
   const SemSpace& sp = *space_;
   const int W = width_;
   const int npts = npts_;
-  const std::size_t slab = slab_size();
-  // Per-lane metric scratch: evaluated from the mesh geometry, copied into
-  // the slabs, dropped. Affine blocks need only the first point — all their
-  // compact constants derive from it.
-  std::vector<SemSpace::PointMetrics> pts(static_cast<std::size_t>(npts));
+  // Affine blocks derive their compact constants from the first quadrature
+  // point's metrics; every other block stores the trilinear coefficients.
+  SemSpace::PointMetrics p0{};
+  TrilinearMap a{};
 
   for (index_t b = b0; b < b1; ++b) {
     const Block& blk = blocks_[static_cast<std::size_t>(b)];
@@ -191,40 +201,28 @@ void BatchPlan::fill(index_t b0, index_t b1) {
     }
 
     real_t* mt = metric_.get() + blk.metric_off;
-    const std::span<SemSpace::PointMetrics> lane_pts(pts.data(), blk.affine ? 1u : pts.size());
     for (int l = 0; l < W; ++l) {
-      // Padded lanes replicate the last real element: reuse its metrics.
-      if (l == 0 || elems[l] != elems[l - 1]) sp.element_metrics(elems[l], lane_pts);
-      if (blk.affine) {
-        // Compact lane constants from the first point: the acoustic
-        // C_p = G_p(q0) / w3[q0]; the elastic Jinv and wdet*Jinv / w3[q0].
-        const SemSpace::PointMetrics& p0 = pts[0];
-        if (ncomp_ == 1) {
-          for (int p = 0; p < 6; ++p) mt[p * W + l] = p0.gmat[p] / w3_[0];
-        } else {
-          for (int p = 0; p < 9; ++p) {
-            mt[p * W + l] = p0.jinv[p];
-            mt[(9 + p) * W + l] = p0.wjinv[p] / w3_[0];
-          }
-        }
-      } else if (ncomp_ == 1) {
-        // Six lane-interleaved planes: plane p of the block at [p][q*W + l].
-        for (int p = 0; p < 6; ++p)
-          for (int q = 0; q < npts; ++q)
-            mt[static_cast<std::size_t>(p) * slab + static_cast<std::size_t>(q * W + l)] =
-                pts[static_cast<std::size_t>(q)].gmat[p];
+      // Padded lanes replicate the last real element: reuse its values.
+      const bool fresh = l == 0 || elems[l] != elems[l - 1];
+      if (!blk.affine) {
+        // Row 3*(m-1) + d holds A_m[d], m = 1..7 (the constant A_0 is the
+        // element's position and never enters the Jacobian).
+        if (fresh) a = trilinear_map(sp, elems[l]);
+        for (int m = 1; m < 8; ++m)
+          for (int d = 0; d < 3; ++d)
+            mt[(3 * (m - 1) + d) * W + l] =
+                a[static_cast<std::size_t>(m)][static_cast<std::size_t>(d)];
+        continue;
+      }
+      if (fresh) sp.element_metrics(elems[l], std::span(&p0, 1));
+      // Compact lane constants from the first point: the acoustic
+      // C_p = G_p(q0) / w3[q0]; the elastic Jinv and wdet*Jinv / w3[q0].
+      if (ncomp_ == 1) {
+        for (int p = 0; p < 6; ++p) mt[p * W + l] = p0.gmat[p] / w3_[0];
       } else {
-        // Jinv then wdet*Jinv, each as 9 lane-interleaved planes.
-        real_t* ji = mt;
-        real_t* wj = mt + slab * 9;
-        for (int q = 0; q < npts; ++q) {
-          const SemSpace::PointMetrics& pq = pts[static_cast<std::size_t>(q)];
-          for (int p = 0; p < 9; ++p) {
-            ji[static_cast<std::size_t>(p) * slab + static_cast<std::size_t>(q * W + l)] =
-                pq.jinv[p];
-            wj[static_cast<std::size_t>(p) * slab + static_cast<std::size_t>(q * W + l)] =
-                pq.wjinv[p];
-          }
+        for (int p = 0; p < 9; ++p) {
+          mt[p * W + l] = p0.jinv[p];
+          mt[(9 + p) * W + l] = p0.wjinv[p] / w3_[0];
         }
       }
     }

@@ -25,24 +25,31 @@
 /// interleaved 0/1 mask slab.
 ///
 /// Per block the plan stores contiguous, 64-byte-aligned slabs of everything
-/// the kernel streams: gather indices, the fused acoustic metric G (6 planes)
-/// or the elastic Jinv / wdet*Jinv planes (9 + 9), and the optional mask.
-/// The plan slabs are the only resident copy of the element metrics: fill()
-/// evaluates each lane's metrics from the mesh geometry
-/// (SemSpace::element_metrics), copies them into the slab and drops them.
+/// the kernel streams: gather indices, the block's geometry, and the optional
+/// mask. The geometry is a few lane constant rows per block, never a per-point
+/// plane, so the apply's main-memory traffic is the field gather and scatter.
+/// Two forms exist:
 ///
-/// Blocks whose elements are all *affine* (parallelepiped geometry — the bulk
-/// of generated paper meshes) store the metric in compact separable form
-/// instead: the fused metrics of such an element factor exactly as
-/// G(q) = w_q * C with one constant 6-tuple (respectively 9+9 for elastic)
-/// per element, so the kernel streams 6*W constants instead of 6*W*npts plane
-/// values — the apply's main-memory traffic collapses to the field gather and
-/// scatter, and the fill evaluates only the first quadrature point. Affinity
-/// is a corner test on the trilinear map (its bilinear and trilinear
-/// coefficients must vanish to an ulp-level tolerance); elements that miss
-/// it fall back to full slabs, so the compact path is a pure bandwidth
-/// optimization (metric values agree to ~1e-14 relative, far inside every
-/// cross-path test tolerance).
+///  * Non-affine blocks: the 21 monomial coefficients A_m[d] (m = 1..7, d = 0..2) of
+///    each element's trilinear corner map (geometry()). The map is exactly
+///    trilinear, so the kernels rebuild the Jacobian, its adjugate and det at
+///    every quadrature point from these rows — a classic matrix-free trade:
+///    ~50-70 flops per point instead of the 6 (acoustic) or 18 (elastic)
+///    metric doubles per point a stored-metric plan would stream.
+///  * Blocks whose elements are all *affine* (parallelepiped geometry — the
+///    bulk of generated paper meshes): the fused metrics of such an element
+///    factor exactly as G(q) = w_q * C with one constant 6-tuple (respectively
+///    9+9 for elastic) per element, so the kernel needs no per-point
+///    geometry arithmetic. This path stays because its kernel is
+///    faster per element (docs/performance.md, "Geometry on the fly").
+///    Affinity is a corner test on the trilinear map (its bilinear and
+///    trilinear coefficients must vanish to an ulp-level tolerance); elements
+///    that miss it take the first form, so the compact path is a pure speed
+///    optimization (metric values agree to ~1e-14 relative, far inside every
+///    cross-path test tolerance).
+///
+/// Both are evaluated by fill() from the mesh corners; nothing per point is
+/// stored anywhere.
 ///
 /// Chunking is strided in the caller's element order, W lanes per block. A
 /// level-k group is chunked as two segments — its node-homogeneous prefix
@@ -106,8 +113,8 @@ public:
               ///< pages are first-touched by the thread that will use them
   };
 
-  /// `ncomp` selects which metric slabs the plan materializes: 1 builds the
-  /// fused acoustic G planes, 3 builds the elastic jinv/wjinv planes.
+  /// `ncomp` selects the compact affine metric form: 1 builds the fused
+  /// acoustic constants, 3 the elastic jinv/wjinv constants.
   BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups, Fill fill = Fill::Now);
 
   [[nodiscard]] const SemSpace& space() const noexcept { return *space_; }
@@ -151,7 +158,7 @@ public:
   }
 
   /// True when every element of block b is affine: the kernels then read the
-  /// compact separable metric (the *_affine accessors) instead of full planes.
+  /// compact separable metric (affine_metric()) instead of geometry().
   [[nodiscard]] bool block_affine(index_t b) const noexcept {
     return blocks_[static_cast<std::size_t>(b)].affine;
   }
@@ -160,47 +167,31 @@ public:
   /// ones, i.e. the element is a parallelepiped and every metric is constant
   /// up to the w_q factor. Blocks of such elements take the compact metric.
   [[nodiscard]] static bool elem_affine(const SemSpace& space, index_t e);
-  /// 3D quadrature weights w_q (npts values) — the separable factor of the
-  /// compact affine metric.
+  /// 3D quadrature weights w_q (npts values), local order q = i + n1*(j + n1*k).
   [[nodiscard]] const real_t* weights3() const noexcept { return w3_.data(); }
 
-  /// Acoustic fused metric slab of block b: 6 lane-interleaved planes
-  /// (G00,G01,G02,G11,G12,G22), each width()*npts(). Requires ncomp == 1 and
-  /// !block_affine(b).
-  [[nodiscard]] const real_t* gmat(index_t b) const noexcept {
+  /// Trilinear corner map of a non-affine block: kernels::kTrilinearRows lane
+  /// rows, row 3*(m-1) + d holding A_m[d] = 1/8 sum_c s_c x_c[d] per lane
+  /// (monomial bit 1 = xi, 2 = eta, 4 = zeta; s_c the product of corner c's
+  /// +-1 signs over the monomial's axes). Requires !block_affine(b).
+  [[nodiscard]] const real_t* geometry(index_t b) const noexcept {
     return metric_.get() + blocks_[static_cast<std::size_t>(b)].metric_off;
   }
-  /// Compact acoustic metric of an affine block: 6 lane constant rows
-  /// (6 * width(); G(q)[l] = w3[q] * row_p[l]). Requires block_affine(b).
-  [[nodiscard]] const real_t* gmat_affine(index_t b) const noexcept {
+  /// Compact metric of an affine block, lane constant rows: acoustic, the 6
+  /// fused rows C_p (G_p(q)[l] = w3[q] * C_p[l]); elastic, the 9 Jinv rows
+  /// (Jinv is constant over the element) then the 9 wdet*Jinv rows divided
+  /// by w_q. Requires block_affine(b).
+  [[nodiscard]] const real_t* affine_metric(index_t b) const noexcept {
     return metric_.get() + blocks_[static_cast<std::size_t>(b)].metric_off;
-  }
-  /// Elastic inverse-Jacobian slab: 9 lane-interleaved planes in row-major
-  /// (r,d) order. Requires ncomp == 3 and !block_affine(b).
-  [[nodiscard]] const real_t* jinv(index_t b) const noexcept {
-    return metric_.get() + blocks_[static_cast<std::size_t>(b)].metric_off;
-  }
-  /// Elastic flux-factor slab wdet*Jinv, layout as jinv().
-  [[nodiscard]] const real_t* wjinv(index_t b) const noexcept {
-    return jinv(b) + slab_size() * 9;
-  }
-  /// Compact elastic metrics of an affine block: jinv as 9 lane constant
-  /// rows (Jinv is constant over the element), wdet*jinv as 9 lane constant
-  /// rows scaled by w3[q] at apply time.
-  [[nodiscard]] const real_t* jinv_affine(index_t b) const noexcept {
-    return metric_.get() + blocks_[static_cast<std::size_t>(b)].metric_off;
-  }
-  [[nodiscard]] const real_t* wjinv_affine(index_t b) const noexcept {
-    return jinv_affine(b) + static_cast<std::size_t>(width_) * 9;
   }
 
-  /// Writes gather/metric/mask data into the slabs of blocks [b0, b1),
-  /// evaluating each lane's metrics from the mesh geometry. With
+  /// Writes gather/geometry/mask data into the slabs of blocks [b0, b1),
+  /// evaluating each lane's geometry from the mesh corners. With
   /// Fill::Deferred the owning thread calls this exactly once per block; the
   /// write is the first touch of those pages.
   void fill(index_t b0, index_t b1);
 
-  /// Resident slab bytes (gather + metrics + masks), for benches.
+  /// Resident slab bytes (gather + geometry rows + masks), for benches.
   [[nodiscard]] std::size_t slab_bytes() const noexcept;
 
 private:
@@ -208,7 +199,7 @@ private:
     index_t group = 0;
     int fill = 0;                 ///< real lanes
     level_t level = 0;            ///< 0 = unmasked
-    bool affine = false;          ///< compact separable metric
+    bool affine = false;          ///< compact separable metric, else trilinear
     std::ptrdiff_t mask_off = -1; ///< into mask_, -1 = homogeneous/unmasked
     std::size_t metric_off = 0;   ///< into metric_
   };
@@ -249,8 +240,8 @@ private:
   };
   Arena<gindex_t> gather_;
   Arena<real_t> mask_;
-  /// One arena for all metric data; per-block offset and size depend on the
-  /// block's affinity (compact constants vs full lane-interleaved planes).
+  /// One arena for all geometry rows; per-block offset and size depend on the
+  /// block's affinity (compact metric constants vs trilinear coefficients).
   Arena<real_t> metric_;
   std::size_t mask_count_ = 0;
   std::size_t metric_count_ = 0;

@@ -26,9 +26,11 @@ namespace {
 // (no gradient slab round-trip — for elastic that is a 9-register
 // stress/strain tile per lane chunk, the tiling the autovectorized version
 // could not hold without spilling), and the three weak-divergence directions
-// combine into one accumulator with a single store per output point. Affine
-// blocks hoist their lane-constant metric into Vec registers across the
-// whole point loop.
+// combine into one accumulator with a single store per output point. Every
+// block hoists its lane-constant geometry rows (the affine metric constants
+// or the 21 trilinear coefficients) into Vec registers across the whole
+// point loop; non-affine blocks rebuild the Jacobian adjugate and det from
+// them at each point (TrilinearLine, TrilinearPoint).
 //
 // Every kernel is templated on the compile-time 1D node count N1 and
 // instantiated for N1 = 2..9; N1 == 0 selects the runtime-(n1, bw) generic
@@ -40,49 +42,101 @@ namespace {
 template <int N1>
 inline constexpr int kBlockW = N1 > 0 ? block_width_for(N1) : 0;
 
-/// Shared body of the full-metric and affine acoustic block applies. With
-/// Affine == true, `gmat` holds the 6 lane-constant rows C_p (6*W) and the
-/// metric plane value is reconstructed as w3[q] * C_p[l]; otherwise `gmat`
-/// holds the 6 full lane-interleaved planes and `w3` is unused.
+/// Jacobian adjugate adj = det * J^-1 (row r = d xi_r / d x, times det) and
+/// det of the trilinear map at one quadrature point of one lane chunk.
+template <class V>
+struct TrilinearPoint {
+  V adj[3][3];
+  V det;
+};
+
+/// The trilinear map's Jacobian along one (eta_j, zeta_k) line of quadrature
+/// points, for one lane chunk. `a` holds the chunk's trilinear rows,
+/// a[3*(m-1) + d] = A_m[d]. The Jacobian columns c_r = d x / d xi_r are
+///   c_0 = (A1 + A5 z) + y (A3 + A7 z),  c_1 = (A2 + A6 z) + x (A3 + A7 z),
+///   c_2 = (A4 + A6 y) + x (A5 + A7 y),
+/// each entry 3 FMAs; the (y, z) parts are evaluated once per line, leaving
+/// one FMA per entry of c_1 and c_2 at each point x.
+template <class V>
+struct TrilinearLine {
+  V c0[3];       ///< c_0, constant along the line
+  V c1x[3], c1[3]; ///< c_1 = c1 + x c1x
+  V c2x[3], c2[3]; ///< c_2 = c2 + x c2x
+
+  TrilinearLine(const V (&a)[kTrilinearRows], real_t y, real_t z) {
+    const V Y = V::broadcast(y), Z = V::broadcast(z);
+    for (int d = 0; d < 3; ++d) {
+      const V A1 = a[d], A2 = a[3 + d], A3 = a[6 + d], A4 = a[9 + d];
+      const V A5 = a[12 + d], A6 = a[15 + d], A7 = a[18 + d];
+      c1x[d] = fma(A7, Z, A3);
+      c0[d] = fma(Y, c1x[d], fma(A5, Z, A1));
+      c1[d] = fma(A6, Z, A2);
+      c2x[d] = fma(A7, Y, A5);
+      c2[d] = fma(A6, Y, A4);
+    }
+  }
+
+  /// The geometry at the line's point with reference coordinate x = xi_i.
+  [[nodiscard]] TrilinearPoint<V> at(real_t x) const {
+    const V X = V::broadcast(x);
+    V c[3][3];
+    for (int d = 0; d < 3; ++d) {
+      c[0][d] = c0[d];
+      c[1][d] = fma(X, c1x[d], c1[d]);
+      c[2][d] = fma(X, c2x[d], c2[d]);
+    }
+    // Row r of adj is c_{r+1} x c_{r+2}; det = c_0 . (c_1 x c_2).
+    TrilinearPoint<V> tp;
+    for (int r = 0; r < 3; ++r) {
+      const V* p = c[(r + 1) % 3];
+      const V* q = c[(r + 2) % 3];
+      for (int d = 0; d < 3; ++d)
+        tp.adj[r][d] = p[(d + 1) % 3] * q[(d + 2) % 3] - p[(d + 2) % 3] * q[(d + 1) % 3];
+    }
+    tp.det = fma(c[0][0], tp.adj[0][0], fma(c[0][1], tp.adj[0][1], c[0][2] * tp.adj[0][2]));
+    return tp;
+  }
+};
+
+/// The TrilinearLine of line (j, k) for a non-affine block; a placeholder for
+/// an affine one, whose `geo` rows are not trilinear.
+template <bool Affine, class V, int R>
+auto trilinear_line([[maybe_unused]] const V (&geo)[R], [[maybe_unused]] const real_t* xi,
+                    [[maybe_unused]] int j, [[maybe_unused]] int k) {
+  if constexpr (Affine)
+    return 0;
+  else
+    return TrilinearLine<V>(geo, xi[j], xi[k]);
+}
+
+/// Shared body of the on-the-fly and affine acoustic block applies. With
+/// Affine == true, `geo` holds the 6 lane-constant rows C_p (6*W) and the
+/// metric is w3[q] * C_p[l]; otherwise it holds the kTrilinearRows trilinear
+/// rows and the metric is rebuilt per point from them and the GLL points xi.
 template <int N1, bool Affine>
 void acoustic_block_apply_impl(int n1_rt, int bw_rt, const real_t* __restrict D,
-                               const real_t* __restrict w3, const real_t* __restrict gmat,
-                               const real_t* __restrict kappa, const real_t* __restrict ul,
-                               real_t* __restrict out, real_t* __restrict s1,
-                               real_t* __restrict s2, real_t* __restrict s3) {
+                               const real_t* __restrict w3, const real_t* __restrict xi,
+                               const real_t* __restrict geo, const real_t* __restrict kappa,
+                               const real_t* __restrict ul, real_t* __restrict out,
+                               real_t* __restrict s1, real_t* __restrict s2,
+                               real_t* __restrict s3) {
   const int n1 = N1 > 0 ? N1 : n1_rt;
   const int W = kBlockW<N1> > 0 ? kBlockW<N1> : bw_rt;
   LTS_DCHECK(W > 0 && W <= kMaxBlockWidth && W % 8 == 0);
   const int n2 = n1 * n1;
-  const int npts = n2 * n1;
-  const int pts = npts * W;
 
   using V = simd::RealVec;
   constexpr int VW = simd::kWidth;
-
-  const int pstride = Affine ? W : pts;
-  const real_t* __restrict g00 = gmat;
-  const real_t* __restrict g01 = gmat + pstride;
-  const real_t* __restrict g02 = gmat + 2 * pstride;
-  const real_t* __restrict g11 = gmat + 3 * pstride;
-  const real_t* __restrict g12 = gmat + 4 * pstride;
-  const real_t* __restrict g22 = gmat + 5 * pstride;
+  constexpr int kRows = Affine ? 6 : kTrilinearRows;
 
   // Lane-chunk outer loop: each VW-lane slice runs both stages before the
   // next slice starts, so the slice's three flux slabs stay cache-hot into
-  // the weak divergence. Affine lane constants (and kappa) hoist into Vec
+  // the weak divergence. The geometry rows (and kappa) hoist into Vec
   // registers across the whole point loop of a chunk.
   for (int l0 = 0; l0 < W; l0 += VW) {
     const V kp = V::load(kappa + l0);
-    [[maybe_unused]] V c00{}, c01{}, c02{}, c11{}, c12{}, c22{};
-    if constexpr (Affine) {
-      c00 = V::load(g00 + l0);
-      c01 = V::load(g01 + l0);
-      c02 = V::load(g02 + l0);
-      c11 = V::load(g11 + l0);
-      c12 = V::load(g12 + l0);
-      c22 = V::load(g22 + l0);
-    }
+    V geo_v[kRows];
+    for (int p = 0; p < kRows; ++p) geo_v[p] = V::load(geo + p * W + l0);
 
     // Stage A: the three reference gradients of each point accumulate in Vec
     // registers (fma chains over the m contraction), then go through the
@@ -92,6 +146,7 @@ void acoustic_block_apply_impl(int n1_rt, int bw_rt, const real_t* __restrict D,
         const real_t* __restrict fline = ul + ((k * n1 + j) * n1) * W + l0;
         const real_t* __restrict dj = D + j * n1;
         const real_t* __restrict dk = D + k * n1;
+        [[maybe_unused]] const auto line = trilinear_line<Affine>(geo_v, xi, j, k);
         for (int i = 0; i < n1; ++i) {
           const real_t* __restrict fy = ul + (k * n2 + i) * W + l0; // along j
           const real_t* __restrict fz = ul + (j * n1 + i) * W + l0; // along k
@@ -110,16 +165,21 @@ void acoustic_block_apply_impl(int n1_rt, int bw_rt, const real_t* __restrict D,
             // w_q factors out of the whole symmetric apply: three dots on the
             // hoisted lane constants, one combined kappa * w_q scale.
             const V kw = kp * V::broadcast(w3[q]);
-            (kw * fma(c00, a, fma(c01, b, c02 * c))).store(s1 + t);
-            (kw * fma(c01, a, fma(c11, b, c12 * c))).store(s2 + t);
-            (kw * fma(c02, a, fma(c12, b, c22 * c))).store(s3 + t);
+            (kw * fma(geo_v[0], a, fma(geo_v[1], b, geo_v[2] * c))).store(s1 + t);
+            (kw * fma(geo_v[1], a, fma(geo_v[3], b, geo_v[4] * c))).store(s2 + t);
+            (kw * fma(geo_v[2], a, fma(geo_v[4], b, geo_v[5] * c))).store(s3 + t);
           } else {
-            const V m00 = V::load(g00 + t), m01 = V::load(g01 + t);
-            const V m02 = V::load(g02 + t), m11 = V::load(g11 + t);
-            const V m12 = V::load(g12 + t), m22 = V::load(g22 + t);
-            (kp * fma(m00, a, fma(m01, b, m02 * c))).store(s1 + t);
-            (kp * fma(m01, a, fma(m11, b, m12 * c))).store(s2 + t);
-            (kp * fma(m02, a, fma(m12, b, m22 * c))).store(s3 + t);
+            // kappa * (w/det) * adj adj^T * (a, b, c): through adj^T into the
+            // physical gradient (times det), scale, back through adj.
+            const TrilinearPoint<V> tp = line.at(xi[i]);
+            const V s = kp * V::broadcast(w3[q]) / tp.det;
+            V p[3];
+            for (int d = 0; d < 3; ++d)
+              p[d] = s * fma(tp.adj[0][d], a, fma(tp.adj[1][d], b, tp.adj[2][d] * c));
+            real_t* const flux[3] = {s1, s2, s3};
+            for (int r = 0; r < 3; ++r)
+              fma(tp.adj[r][0], p[0], fma(tp.adj[r][1], p[1], tp.adj[r][2] * p[2]))
+                  .store(flux[r] + t);
           }
         }
       }
@@ -146,26 +206,24 @@ void acoustic_block_apply_impl(int n1_rt, int bw_rt, const real_t* __restrict D,
   }
 }
 
-/// Shared body of the full-metric and affine elastic block applies. With
-/// Affine == true, `jinv` holds 9 lane-constant Jinv rows (9*W) and `wjinv`
-/// the separable wdet*Jinv constants (reconstructed as w3[q] * C).
+/// Shared body of the on-the-fly and affine elastic block applies. With
+/// Affine == true, `geo` holds 9 lane-constant Jinv rows then the 9
+/// separable wdet*Jinv constants (wdet*Jinv = w3[q] * C); otherwise it holds
+/// the kTrilinearRows trilinear rows, rebuilt per point with the GLL points xi.
 template <int N1, bool Affine>
 void elastic_block_apply_impl(int n1_rt, int bw_rt, const real_t* __restrict D,
-                              const real_t* __restrict w3, const real_t* __restrict jinv,
-                              const real_t* __restrict wjinv, const real_t* __restrict lam,
+                              const real_t* __restrict w3, const real_t* __restrict xi,
+                              const real_t* __restrict geo, const real_t* __restrict lam,
                               const real_t* __restrict mu, const real_t* const* ul,
                               real_t* const* out, real_t* const* gr) {
   const int n1 = N1 > 0 ? N1 : n1_rt;
   const int W = kBlockW<N1> > 0 ? kBlockW<N1> : bw_rt;
   LTS_DCHECK(W > 0 && W <= kMaxBlockWidth && W % 8 == 0);
   const int n2 = n1 * n1;
-  const int npts = n2 * n1;
-  const int pts = npts * W;
-  // Plane p of a metric: full path at [p*pts + t], affine at [p*W + l].
-  const std::size_t pstride = static_cast<std::size_t>(Affine ? W : pts);
 
   using V = simd::RealVec;
   constexpr int VW = simd::kWidth;
+  constexpr int kRows = Affine ? 18 : kTrilinearRows;
 
   // Rebind the indirect slab pointers into direct locals once (through a
   // const* const* every access would reload the pointer). Hand-vectorization
@@ -179,16 +237,9 @@ void elastic_block_apply_impl(int n1_rt, int bw_rt, const real_t* __restrict D,
   for (int l0 = 0; l0 < W; l0 += VW) {
     const V lm = V::load(lam + l0);
     const V m2 = V::load(mu + l0);
-    // Affine metric constants hoist into Vec registers for the whole chunk:
-    // Jinv is elementwise constant; the separable wdet*Jinv constants pick up
-    // the w3[q] factor per point.
-    [[maybe_unused]] V cji[9], cwj[9];
-    if constexpr (Affine) {
-      for (int p = 0; p < 9; ++p) {
-        cji[p] = V::load(jinv + static_cast<std::size_t>(p) * pstride + static_cast<std::size_t>(l0));
-        cwj[p] = V::load(wjinv + static_cast<std::size_t>(p) * pstride + static_cast<std::size_t>(l0));
-      }
-    }
+    // The geometry rows hoist into Vec registers for the whole chunk.
+    V geo_v[kRows];
+    for (int p = 0; p < kRows; ++p) geo_v[p] = V::load(geo + p * W + l0);
 
     // Fused gradients + pointwise: at each point the nine reference-gradient
     // accumulators (3 components x 3 directions) are a Vec register tile —
@@ -201,6 +252,7 @@ void elastic_block_apply_impl(int n1_rt, int bw_rt, const real_t* __restrict D,
         const int row = (k * n1 + j) * n1;
         const real_t* __restrict dj = D + j * n1;
         const real_t* __restrict dk = D + k * n1;
+        [[maybe_unused]] const auto line = trilinear_line<Affine>(geo_v, xi, j, k);
         for (int i = 0; i < n1; ++i) {
           const real_t* __restrict di = D + i * n1;
           V g[9];
@@ -223,45 +275,48 @@ void elastic_block_apply_impl(int n1_rt, int bw_rt, const real_t* __restrict D,
           }
           const int q = row + i;
           const int t = q * W + l0;
+          // ji takes the reference gradient to the physical one, wj the
+          // stress to the reference flux, and (ls, ms) are the moduli in the
+          // same scaling. Affine: ji = Jinv, wj = w_q * (wdet*Jinv / w_q),
+          // unscaled moduli. Otherwise ji = wj = adj: the gradient comes out
+          // times det, which w/det on the moduli turns into w times the
+          // stress, and w * adj = wdet * Jinv.
+          V ji[3][3], wj[3][3], ls, ms;
+          if constexpr (Affine) {
+            const V wq = V::broadcast(w3[q]);
+            for (int r = 0; r < 3; ++r)
+              for (int d = 0; d < 3; ++d) {
+                ji[r][d] = geo_v[3 * r + d];
+                wj[r][d] = geo_v[9 + 3 * r + d] * wq;
+              }
+            ls = lm;
+            ms = m2;
+          } else {
+            const TrilinearPoint<V> tp = line.at(xi[i]);
+            const V s = V::broadcast(w3[q]) / tp.det;
+            for (int r = 0; r < 3; ++r)
+              for (int d = 0; d < 3; ++d) ji[r][d] = wj[r][d] = tp.adj[r][d];
+            ls = lm * s;
+            ms = m2 * s;
+          }
           // Physical displacement gradient H[c][d] = du_c/dx_d.
           V H[3][3];
           for (int d = 0; d < 3; ++d) {
-            V j0, j1, j2;
-            if constexpr (Affine) {
-              j0 = cji[d];
-              j1 = cji[3 + d];
-              j2 = cji[6 + d];
-            } else {
-              j0 = V::load(jinv + static_cast<std::size_t>(d) * pstride + static_cast<std::size_t>(t));
-              j1 = V::load(jinv + static_cast<std::size_t>(3 + d) * pstride + static_cast<std::size_t>(t));
-              j2 = V::load(jinv + static_cast<std::size_t>(6 + d) * pstride + static_cast<std::size_t>(t));
-            }
-            H[0][d] = fma(j0, g[0], fma(j1, g[1], j2 * g[2]));
-            H[1][d] = fma(j0, g[3], fma(j1, g[4], j2 * g[5]));
-            H[2][d] = fma(j0, g[6], fma(j1, g[7], j2 * g[8]));
+            H[0][d] = fma(ji[0][d], g[0], fma(ji[1][d], g[1], ji[2][d] * g[2]));
+            H[1][d] = fma(ji[0][d], g[3], fma(ji[1][d], g[4], ji[2][d] * g[5]));
+            H[2][d] = fma(ji[0][d], g[6], fma(ji[1][d], g[7], ji[2][d] * g[8]));
           }
           const V trace = H[0][0] + H[1][1] + H[2][2];
           // Cauchy stress, sigma = lam*tr(eps)*I + 2 mu eps, eps = (H+H^T)/2.
           V S[3][3];
           for (int c = 0; c < 3; ++c)
-            for (int d = 0; d < 3; ++d) S[c][d] = m2 * (H[c][d] + H[d][c]);
-          S[0][0] = fma(lm, trace, S[0][0]);
-          S[1][1] = fma(lm, trace, S[1][1]);
-          S[2][2] = fma(lm, trace, S[2][2]);
-          // Reference flux F[c][r] = sum_d (wdet*jinv)[r][d] S[c][d].
-          [[maybe_unused]] V wq{};
-          if constexpr (Affine) wq = V::broadcast(w3[q]);
+            for (int d = 0; d < 3; ++d) S[c][d] = ms * (H[c][d] + H[d][c]);
+          S[0][0] = fma(ls, trace, S[0][0]);
+          S[1][1] = fma(ls, trace, S[1][1]);
+          S[2][2] = fma(ls, trace, S[2][2]);
+          // Reference flux F[c][r] = sum_d wj[r][d] S[c][d].
           for (int r = 0; r < 3; ++r) {
-            V w0, w1, w2;
-            if constexpr (Affine) {
-              w0 = cwj[r * 3] * wq;
-              w1 = cwj[r * 3 + 1] * wq;
-              w2 = cwj[r * 3 + 2] * wq;
-            } else {
-              w0 = V::load(wjinv + static_cast<std::size_t>(r * 3) * pstride + static_cast<std::size_t>(t));
-              w1 = V::load(wjinv + static_cast<std::size_t>(r * 3 + 1) * pstride + static_cast<std::size_t>(t));
-              w2 = V::load(wjinv + static_cast<std::size_t>(r * 3 + 2) * pstride + static_cast<std::size_t>(t));
-            }
+            const V w0 = wj[r][0], w1 = wj[r][1], w2 = wj[r][2];
             fma(w0, S[0][0], fma(w1, S[0][1], w2 * S[0][2])).store(flux[r] + t);
             fma(w0, S[1][0], fma(w1, S[1][1], w2 * S[1][2])).store(flux[3 + r] + t);
             fma(w0, S[2][0], fma(w1, S[2][1], w2 * S[2][2])).store(flux[6 + r] + t);
@@ -298,34 +353,33 @@ void elastic_block_apply_impl(int n1_rt, int bw_rt, const real_t* __restrict D,
 }
 
 // Thin wrappers binding the shared impls to the public function-pointer
-// signatures (the affine variants take w3 + compact constants).
+// signatures (the affine variants take no GLL points).
 template <int N1>
-void acoustic_block_apply(int n1, int bw, const real_t* D, const real_t* gmat,
-                          const real_t* kappa, const real_t* ul, real_t* out, real_t* s1,
-                          real_t* s2, real_t* s3) {
-  acoustic_block_apply_impl<N1, false>(n1, bw, D, nullptr, gmat, kappa, ul, out, s1, s2, s3);
+void acoustic_block_apply(int n1, int bw, const real_t* D, const real_t* w3, const real_t* xi,
+                          const real_t* geo, const real_t* kappa, const real_t* ul, real_t* out,
+                          real_t* s1, real_t* s2, real_t* s3) {
+  acoustic_block_apply_impl<N1, false>(n1, bw, D, w3, xi, geo, kappa, ul, out, s1, s2, s3);
 }
 
 template <int N1>
 void acoustic_block_apply_affine(int n1, int bw, const real_t* D, const real_t* w3,
                                  const real_t* cmat, const real_t* kappa, const real_t* ul,
                                  real_t* out, real_t* s1, real_t* s2, real_t* s3) {
-  acoustic_block_apply_impl<N1, true>(n1, bw, D, w3, cmat, kappa, ul, out, s1, s2, s3);
+  acoustic_block_apply_impl<N1, true>(n1, bw, D, w3, nullptr, cmat, kappa, ul, out, s1, s2, s3);
 }
 
 template <int N1>
-void elastic_block_apply(int n1, int bw, const real_t* D, const real_t* jinv,
-                         const real_t* wjinv, const real_t* lam, const real_t* mu,
+void elastic_block_apply(int n1, int bw, const real_t* D, const real_t* w3, const real_t* xi,
+                         const real_t* geo, const real_t* lam, const real_t* mu,
                          const real_t* const* ul, real_t* const* out, real_t* const* gr) {
-  elastic_block_apply_impl<N1, false>(n1, bw, D, nullptr, jinv, wjinv, lam, mu, ul, out, gr);
+  elastic_block_apply_impl<N1, false>(n1, bw, D, w3, xi, geo, lam, mu, ul, out, gr);
 }
 
 template <int N1>
 void elastic_block_apply_affine(int n1, int bw, const real_t* D, const real_t* w3,
-                                const real_t* cji, const real_t* cwj, const real_t* lam,
-                                const real_t* mu, const real_t* const* ul, real_t* const* out,
-                                real_t* const* gr) {
-  elastic_block_apply_impl<N1, true>(n1, bw, D, w3, cji, cwj, lam, mu, ul, out, gr);
+                                const real_t* cmat, const real_t* lam, const real_t* mu,
+                                const real_t* const* ul, real_t* const* out, real_t* const* gr) {
+  elastic_block_apply_impl<N1, true>(n1, bw, D, w3, nullptr, cmat, lam, mu, ul, out, gr);
 }
 
 } // namespace

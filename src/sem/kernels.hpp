@@ -20,12 +20,24 @@
 ///    code) serves exotic orders and is cross-validated against the
 ///    specializations in the tests;
 ///
-///  * fused metric tensors: the acoustic apply consumes the symmetric 3x3
-///    matrix G = wdet * Jinv * Jinv^T (6 doubles per quadrature point),
-///    collapsing two 3x3 applies per point into a single symmetric apply.
-///    The elastic apply keeps Jinv for the displacement gradient but takes
-///    the flux through the precomputed product wdet * Jinv. Affine blocks
-///    take compact separable forms of both (one constant set per lane).
+///  * geometry on the fly: a non-affine block carries only the 21 trilinear
+///    corner-map coefficients per lane (BatchPlan::geometry). At each
+///    quadrature point the kernel rebuilds the Jacobian J (3 FMAs per entry,
+///    its (eta, zeta) parts hoisted per line of points), its adjugate
+///    adj = det * J^-1 and det, and folds w_q / det into one
+///    scale (one Vec division per point). The acoustic flux is
+///    kappa * (w/det) * adj adj^T * grad_ref u; the elastic gradient goes
+///    through adj with lambda and mu scaled by w/det, and its flux through adj
+///    again, since wdet * J^-1 = w * adj exactly. No per-point metric is
+///    stored or streamed: ~50-70 flops per point replace 48 B (acoustic) or
+///    144 B (elastic) of loads on a bandwidth-bound apply;
+///
+///  * compact affine metrics: blocks of parallelepipeds take the fused
+///    metrics in separable form instead — the acoustic symmetric
+///    G = wdet * Jinv * Jinv^T as 6 constants per lane, the elastic Jinv and
+///    wdet * Jinv as 9 + 9 — times the point's w_q. This skips the per-point
+///    geometry arithmetic and is kept because it is faster per element
+///    (docs/performance.md, "Geometry on the fly").
 ///
 /// Kernel functions operate on block-local, 64-byte-aligned workspace
 /// buffers (KernelWorkspace in wave_operator.hpp); gather/scatter against the
@@ -51,51 +63,56 @@ namespace kernels {
 /// Upper bound on block_width_for over all orders (for stack lane arrays).
 inline constexpr int kMaxBlockWidth = 32;
 
-/// Full acoustic *block* stiffness apply: one call advances a whole
-/// BatchPlan block of `bw` elements on lane-interleaved slabs (entry (q, l)
-/// of a slab at [q*bw + l]).
+/// Number of trilinear-map lane rows a non-affine block carries: A_m[d] for
+/// monomials m = 1..7 and coordinates d = 0..2, row 3*(m-1) + d.
+inline constexpr int kTrilinearRows = 21;
+
+/// Acoustic *block* stiffness apply with geometry on the fly: one call
+/// advances a whole BatchPlan block of `bw` elements on lane-interleaved
+/// slabs (entry (q, l) of a slab at [q*bw + l]).
 ///  n1, bw : nodes per direction and lane count (both ignored by specialized
 ///           instantiations, which bake block_width_for(N1) in);
 ///  D      : collocation derivative matrix, row-major n1 x n1 (the lane axis
 ///           is the vector axis, so no transposed copy is needed);
-///  gmat   : the block's fused metric: 6 lane-interleaved planes of bw*npts
-///           (BatchPlan::gmat);
+///  w3     : 3D quadrature weights (npts, BatchPlan::weights3);
+///  xi     : the 1D GLL points (n1);
+///  geo    : the block's trilinear map, kTrilinearRows lane rows
+///           (BatchPlan::geometry);
 ///  kappa  : per-lane moduli, bw entries (padded lanes replicated);
 ///  ul     : gathered (possibly mask-multiplied) field slab, bw*npts;
 ///  out    : block contribution slab, bw*npts (overwritten; padded lanes are
 ///           garbage and must not be scattered);
 ///  s1-s3  : scratch slabs, bw*npts each.
-using AcousticBlockFn = void (*)(int n1, int bw, const real_t* D, const real_t* gmat,
-                                 const real_t* kappa, const real_t* ul, real_t* out, real_t* s1,
-                                 real_t* s2, real_t* s3);
+using AcousticBlockFn = void (*)(int n1, int bw, const real_t* D, const real_t* w3,
+                                 const real_t* xi, const real_t* geo, const real_t* kappa,
+                                 const real_t* ul, real_t* out, real_t* s1, real_t* s2,
+                                 real_t* s3);
 
-/// Full isotropic elastic block stiffness apply on lane-interleaved slabs.
-///  jinv  : 9 lane-interleaved planes of bw*npts, row-major (r,d) plane order
-///          (BatchPlan::jinv);
-///  wjinv : wdet * jinv, same layout (BatchPlan::wjinv);
+/// Isotropic elastic block stiffness apply with geometry on the fly.
+///  w3, xi, geo : as for AcousticBlockFn;
 ///  lam/mu: per-lane moduli, bw entries each;
 ///  ul    : the three gathered displacement slabs, bw*npts each;
 ///  out   : the three block contribution slabs (overwritten);
-///  gr    : nine scratch slabs (reference gradients / fluxes), bw*npts each.
-using ElasticBlockFn = void (*)(int n1, int bw, const real_t* D, const real_t* jinv,
-                                const real_t* wjinv, const real_t* lam, const real_t* mu,
-                                const real_t* const* ul, real_t* const* out, real_t* const* gr);
+///  gr    : nine scratch slabs (reference fluxes), bw*npts each.
+using ElasticBlockFn = void (*)(int n1, int bw, const real_t* D, const real_t* w3,
+                                const real_t* xi, const real_t* geo, const real_t* lam,
+                                const real_t* mu, const real_t* const* ul, real_t* const* out,
+                                real_t* const* gr);
 
 /// Acoustic block apply for *affine* blocks: the fused metric factors as
-/// G(q) = w3[q] * C per lane, so the kernel streams no metric planes at all —
-/// `cmat` is 6 lane-constant rows (6*bw, BatchPlan::gmat_affine) and `w3` the
-/// shared 3D quadrature weights (npts).
+/// G(q) = w3[q] * C per lane, so the kernel needs no per-point geometry —
+/// `cmat` is 6 lane-constant rows (6*bw, BatchPlan::affine_metric).
 using AcousticBlockAffineFn = void (*)(int n1, int bw, const real_t* D, const real_t* w3,
                                        const real_t* cmat, const real_t* kappa, const real_t* ul,
                                        real_t* out, real_t* s1, real_t* s2, real_t* s3);
 
-/// Elastic block apply for affine blocks: `cji` (9*bw) holds the constant
-/// Jinv lanes and `cwj` (9*bw) the separable wdet*Jinv constants
-/// (wjinv(q) = w3[q] * cwj).
+/// Elastic block apply for affine blocks: `cmat` (18*bw) holds the 9
+/// constant Jinv rows, then the 9 separable wdet*Jinv rows
+/// (wdet*Jinv(q) = w3[q] * row).
 using ElasticBlockAffineFn = void (*)(int n1, int bw, const real_t* D, const real_t* w3,
-                                      const real_t* cji, const real_t* cwj, const real_t* lam,
-                                      const real_t* mu, const real_t* const* ul,
-                                      real_t* const* out, real_t* const* gr);
+                                      const real_t* cmat, const real_t* lam, const real_t* mu,
+                                      const real_t* const* ul, real_t* const* out,
+                                      real_t* const* gr);
 
 /// Largest 1D node count with a compile-time specialization (order 8).
 inline constexpr int kMaxSpecializedNodes1d = 9;

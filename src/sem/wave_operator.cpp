@@ -61,6 +61,8 @@ void AcousticOperator::apply_add_blocks(const BatchPlan& plan, index_t b0, index
   const int W = plan.width();
   const int pts = npts * W;
   const real_t* D = sp.ref().deriv_matrix().data();
+  const real_t* xi = sp.ref().points().data();
+  const real_t* w3 = plan.weights3();
 
   real_t* ul = ws.buffer(0);
   real_t* ol = ws.buffer(1);
@@ -80,9 +82,9 @@ void AcousticOperator::apply_add_blocks(const BatchPlan& plan, index_t b0, index
     for (int l = 0; l < W; ++l) kap[l] = kappa_[static_cast<std::size_t>(eids[l])];
 
     if (plan.block_affine(b))
-      affine_kernel_(n1, W, D, plan.weights3(), plan.gmat_affine(b), kap, ul, ol, s1, s2, s3);
+      affine_kernel_(n1, W, D, w3, plan.affine_metric(b), kap, ul, ol, s1, s2, s3);
     else
-      block_kernel_(n1, W, D, plan.gmat(b), kap, ul, ol, s1, s2, s3);
+      block_kernel_(n1, W, D, w3, xi, plan.geometry(b), kap, ul, ol, s1, s2, s3);
 
     // Scatter real lanes only (padded tail lanes replicate a real element and
     // would double-count). Lanes of one block may share global rows, so the
@@ -123,6 +125,8 @@ void ElasticOperator::apply_add_blocks(const BatchPlan& plan, index_t b0, index_
   const int W = plan.width();
   const int pts = npts * W;
   const real_t* D = sp.ref().deriv_matrix().data();
+  const real_t* xi = sp.ref().points().data();
+  const real_t* w3 = plan.weights3();
 
   // Buffer layout: gathers 0..2, gradients / fluxes 3..11, outputs 12..14 —
   // each a full block slab (the elastic workspace allocates 16, leaving one
@@ -159,10 +163,9 @@ void ElasticOperator::apply_add_blocks(const BatchPlan& plan, index_t b0, index_
     }
 
     if (plan.block_affine(b))
-      affine_kernel_(n1, W, D, plan.weights3(), plan.jinv_affine(b), plan.wjinv_affine(b), lam,
-                     mu, ul, ol, gr);
+      affine_kernel_(n1, W, D, w3, plan.affine_metric(b), lam, mu, ul, ol, gr);
     else
-      block_kernel_(n1, W, D, plan.jinv(b), plan.wjinv(b), lam, mu, ul, ol, gr);
+      block_kernel_(n1, W, D, w3, xi, plan.geometry(b), lam, mu, ul, ol, gr);
 
     // As in the acoustic scatter, with the row index rescaled to the
     // 3-interleaved layout.

@@ -121,8 +121,9 @@ inline const scenarios::RunResult& baseline(const Variant& like) {
 }
 
 /// A quasi-1D strip whose cell widths halve twice and recover, so levels 1,
-/// 2 and 3 all hold elements. (make_strip_mesh squeezes in one jump: its
-/// intermediate levels are empty.)
+/// 2 and 3 all hold several elements on both sides of the fine patch.
+/// (make_strip_mesh grades its one jump through a single cell per
+/// intermediate level.)
 inline mesh::HexMesh graded_strip() {
   std::vector<real_t> xs{0};
   for (const auto& [cells, width] : {std::pair{8, 1.0}, {6, 0.5}, {8, 0.25}, {4, 0.5}, {6, 1.0}})

@@ -1,8 +1,8 @@
 // Kernel-engine validation against an independent reference: every block
 // kernel path — compile-time order-specialized (KernelMode::Auto) and the
-// runtime-(n1, bw) generic fallback (KernelMode::Generic), full-plane and
-// compact-affine metrics, unmasked and level-masked plans with ragged tail
-// blocks — must reproduce a test-only dense element stiffness assembled
+// runtime-(n1, bw) generic fallback (KernelMode::Generic), geometry on the
+// fly and compact-affine metrics, unmasked and level-masked plans with ragged
+// tail blocks — must reproduce a test-only dense element stiffness assembled
 // directly from the GLL basis to 1e-12, for orders 1-8 and both physics.
 // Plus plan-layout invariants (caller-order chunking, mask slabs) and an
 // energy-conservation smoke test driving the one-rank LTS engine.
@@ -10,9 +10,9 @@
 // SIMD backend coverage: the block kernels run on the simd::Vec lane layer
 // while the dense reference is plain scalar code, so every comparison here
 // is a vector-vs-scalar cross-check. The suite is built and re-run per
-// backend (native AVX-512/AVX2, the baseline-ISA CI build, and the
-// simd-scalar CI job's forced-scalar build), which sweeps every width the
-// dispatch in common/simd.hpp can select.
+// backend (native AVX-512, the baseline-ISA CI build, and the simd-backends
+// CI job's forced-scalar and forced-AVX2 builds), which sweeps every width
+// the dispatch in common/simd.hpp can select.
 
 #include <gtest/gtest.h>
 
@@ -295,9 +295,9 @@ BatchPlan level_plan(const SemSpace& space, int ncomp, const core::LtsStructure&
 /// sweep meshes have 36 elements, so every block width (8/16/32) gets a
 /// ragged tail block, and caller-order chunking puts face neighbours into one
 /// block, so the scatter accumulates lanes that share global rows.
-/// `expect_affine` asserts which metric form the plans chose (compact
-/// separable constants on parallelepiped meshes, full planes on warped ones),
-/// guaranteeing both kernel variants are exercised.
+/// `expect_affine` asserts which geometry form the plans chose (compact
+/// separable constants on parallelepiped meshes, trilinear rows on warped
+/// ones), guaranteeing both kernel variants are exercised.
 template <class Op>
 void matches_dense_reference(const mesh::HexMesh& m, int order, bool expect_affine) {
   SemSpace space(m, order);
@@ -317,10 +317,10 @@ void matches_dense_reference(const mesh::HexMesh& m, int order, bool expect_affi
     const char* label = mode == KernelMode::Auto ? "specialized" : "generic";
 
     const BatchPlan& fp = op.full_plan();
-    bool ragged = false, shared = false, affine = false, full_metric = false;
+    bool ragged = false, shared = false, affine = false, trilinear = false;
     for (index_t b = 0; b < fp.num_blocks(); ++b) {
       ragged = ragged || fp.block_fill(b) < fp.width();
-      (fp.block_affine(b) ? affine : full_metric) = true;
+      (fp.block_affine(b) ? affine : trilinear) = true;
       // An element's own nodes are distinct, so a repeat is two real lanes
       // sharing a global row.
       std::set<gindex_t> seen;
@@ -332,7 +332,7 @@ void matches_dense_reference(const mesh::HexMesh& m, int order, bool expect_affi
     EXPECT_TRUE(ragged) << "sweep must cover a ragged tail block";
     EXPECT_TRUE(shared) << "sweep must cover a block whose lanes share a global row";
     EXPECT_EQ(affine, expect_affine) << "order " << order;
-    EXPECT_EQ(full_metric, !expect_affine) << "order " << order;
+    EXPECT_EQ(trilinear, !expect_affine) << "order " << order;
 
     std::vector<real_t> out(ndof, 0.0);
     op.apply_add_blocks(fp, 0, fp.num_blocks(), u.data(), out.data(), ws);
@@ -352,7 +352,7 @@ void matches_dense_reference(const mesh::HexMesh& m, int order, bool expect_affi
 }
 
 /// 36-element two-material mesh — a full block plus a ragged tail at every
-/// block width. Warped: non-affine geometry (full metric planes).
+/// block width. Warped: non-affine geometry (trilinear rows).
 mesh::HexMesh make_sweep_mesh(bool warped) {
   mesh::Material mat;
   mat.vp = 1.9;
@@ -388,6 +388,43 @@ TEST(Kernels, AffineFastPathMatchesDenseReferenceOrders1To8) {
   for (int order = 1; order <= 8; ++order) {
     matches_dense_reference<AcousticOperator>(make_sweep_mesh(false), order, true);
     matches_dense_reference<ElasticOperator>(make_sweep_mesh(false), order, true);
+  }
+}
+
+/// Resident bytes a plan of non-affine blocks must hold: every block's
+/// gather slab, a mask slab per mixed block, and 21 trilinear lane rows per
+/// block — no per-point geometry.
+std::size_t expected_slab_bytes(const BatchPlan& plan) {
+  const auto W = static_cast<std::size_t>(plan.width());
+  const auto slab = W * static_cast<std::size_t>(plan.npts());
+  std::size_t bytes = 0;
+  for (index_t b = 0; b < plan.num_blocks(); ++b) {
+    bytes += slab * sizeof(gindex_t);
+    if (plan.mask(b) != nullptr) bytes += slab * sizeof(real_t);
+    bytes += static_cast<std::size_t>(kernels::kTrilinearRows) * W * sizeof(real_t);
+  }
+  return bytes;
+}
+
+template <class Op>
+void resident_plan_is_geometry_rows(int order) {
+  const auto m = make_sweep_mesh(true);
+  SemSpace space(m, order);
+  const Op op(space);
+  const auto st = two_level_structure(m, space);
+  const BatchPlan lp = level_plan(space, op.ncomp(), st);
+  for (const BatchPlan* plan : {&op.full_plan(), &lp}) {
+    for (index_t b = 0; b < plan->num_blocks(); ++b)
+      ASSERT_FALSE(plan->block_affine(b)) << "warped mesh, order " << order << " block " << b;
+    EXPECT_EQ(plan->slab_bytes(), expected_slab_bytes(*plan)) << "order " << order;
+  }
+  matches_dense_reference<Op>(m, order, false);
+}
+
+TEST(Kernels, ResidentPlanHoldsTrilinearRowsNotMetricPlanes) {
+  for (int order : {1, 4, 8}) {
+    resident_plan_is_geometry_rows<AcousticOperator>(order);
+    resident_plan_is_geometry_rows<ElasticOperator>(order);
   }
 }
 

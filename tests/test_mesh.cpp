@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <set>
 
 #include "mesh/generators.hpp"
@@ -173,6 +174,26 @@ TEST(Strip, QuasiOneDimensional) {
   const real_t h0 = m.char_length(0);
   const real_t h11 = m.char_length(11);
   EXPECT_NEAR(h11 / h0, 2.0, 1e-9);
+}
+
+TEST(Strip, GradesTheJumpThroughPowerOfTwoWidths) {
+  // squeeze 8: fine cells at w/8, one grading cell each at w/4 and w/2, and
+  // the coarse cells at w — nx stays the total.
+  const auto m = make_strip_mesh(12, 0.25, 8.0);
+  m.validate();
+  ASSERT_EQ(m.num_elems(), 12);
+  const real_t w = m.char_length(11);
+  const real_t expected[] = {0.125, 0.125, 0.125, 0.25, 0.5, 1, 1, 1, 1, 1, 1, 1};
+  for (index_t e = 0; e < 12; ++e)
+    EXPECT_NEAR(m.char_length(e) / w, expected[e], 1e-12) << "element " << e;
+  // Total length is still 1.
+  real_t len = 0;
+  for (index_t e = 0; e < 12; ++e) len += m.char_length(e);
+  EXPECT_NEAR(len, 1.0, 1e-12);
+  // No room for 1 fine, 2 grading and a coarse cell; no finite grading.
+  EXPECT_THROW((void)make_strip_mesh(3, 0.25, 8.0), CheckFailure);
+  EXPECT_THROW((void)make_strip_mesh(12, 0.25, std::numeric_limits<real_t>::infinity()),
+               CheckFailure);
 }
 
 TEST(MeshIo, SaveLoadRoundTrip) {

@@ -207,10 +207,13 @@ TEST(RunReportLive, ScenarioRunFillsReport) {
 
 TEST(Roofline, HandComputedOrder4Acoustic) {
   // n1 = 5, npts = 125.
-  // flops = 125 * (3*9 + 3*10 + 18 + 1) = 125 * 76 = 9500
-  EXPECT_DOUBLE_EQ(perf::flops_per_elem(1, 5), 9500.0);
-  // full bytes = 125 * 8 * (1 l2g + 1 field + 2 out r/w + 6 metric) = 10000
-  EXPECT_DOUBLE_EQ(perf::bytes_per_elem_full(1, 5), 10000.0);
+  // affine flops = 125 * (3*9 + 3*10 + 18 + 1) = 125 * 76 = 9500
+  EXPECT_DOUBLE_EQ(perf::flops_per_elem_affine(1, 5), 9500.0);
+  // non-affine flops add the per-point geometry (36/5 + 12 + 27 + 5 = 51.2)
+  // and its application (35 instead of 18): 125 * (27 + 30 + 86.2 + 1) = 18025
+  EXPECT_DOUBLE_EQ(perf::flops_per_elem_full(1, 5), 18025.0);
+  // non-affine bytes = 125 * 8 * (1 l2g + 1 field + 2 out r/w) + 21 * 8 = 4168
+  EXPECT_DOUBLE_EQ(perf::bytes_per_elem_full(1, 5), 4168.0);
   // affine bytes = 125 * 8 * 4 + 6 * 8 = 4048
   EXPECT_DOUBLE_EQ(perf::bytes_per_elem_affine(1, 5), 4048.0);
 
@@ -218,17 +221,19 @@ TEST(Roofline, HandComputedOrder4Acoustic) {
   EXPECT_EQ(s.physics, "acoustic");
   EXPECT_EQ(s.order, 4);
   EXPECT_EQ(s.block_width, 0);
-  EXPECT_DOUBLE_EQ(s.flops_per_elem, 9500.0);
-  EXPECT_DOUBLE_EQ(s.bytes_per_elem, 10000.0);
-  EXPECT_DOUBLE_EQ(s.arithmetic_intensity, 0.95);
-  EXPECT_DOUBLE_EQ(s.bytes_per_flop, 10000.0 / 9500.0);
+  EXPECT_DOUBLE_EQ(s.flops_per_elem, 18025.0);
+  EXPECT_DOUBLE_EQ(s.bytes_per_elem, 4168.0);
+  EXPECT_DOUBLE_EQ(s.arithmetic_intensity, 18025.0 / 4168.0);
+  EXPECT_DOUBLE_EQ(s.bytes_per_flop, 4168.0 / 18025.0);
 }
 
 TEST(Roofline, HandComputedOrder4Elastic) {
-  // flops = 125 * (9*9 + 9*10 + 116 + 3) = 125 * 290 = 36250
-  EXPECT_DOUBLE_EQ(perf::flops_per_elem(3, 5), 36250.0);
-  // full bytes = 125 * 8 * (1 + 3 + 6 + 18) = 28000
-  EXPECT_DOUBLE_EQ(perf::bytes_per_elem_full(3, 5), 28000.0);
+  // affine flops = 125 * (9*9 + 9*10 + 116 + 3) = 125 * 290 = 36250
+  EXPECT_DOUBLE_EQ(perf::flops_per_elem_affine(3, 5), 36250.0);
+  // non-affine flops = 125 * (81 + 90 + (51.2 + 119) + 3) = 125 * 344.2 = 43025
+  EXPECT_DOUBLE_EQ(perf::flops_per_elem_full(3, 5), 43025.0);
+  // non-affine bytes = 125 * 8 * (1 + 3 + 6) + 21 * 8 = 10168
+  EXPECT_DOUBLE_EQ(perf::bytes_per_elem_full(3, 5), 10168.0);
   // affine bytes = 125 * 8 * 10 + 18 * 8 = 10144
   EXPECT_DOUBLE_EQ(perf::bytes_per_elem_affine(3, 5), 10144.0);
 }
@@ -251,6 +256,22 @@ TEST(Roofline, UniformBoxPlanIsAllAffine) {
   EXPECT_DOUBLE_EQ(s.flops_total, 9500.0 * 64);
   EXPECT_DOUBLE_EQ(s.bytes_total, 4048.0 * 64);
   EXPECT_DOUBLE_EQ(s.arithmetic_intensity, 9500.0 / 4048.0);
+}
+
+TEST(Roofline, WarpedPlanIsChargedTheNonAffineModel) {
+  // A warped box has no parallelepiped element, so every block rebuilds its
+  // geometry per point and the aggregate equals the non-affine model.
+  auto m = mesh::make_uniform_box(3, 3, 3);
+  mesh::warp_nodes(m, [](real_t& x, real_t& y, real_t& z) {
+    x += 0.03 * std::sin(2 * y + z);
+    z += 0.02 * std::cos(3 * x);
+  });
+  sem::SemSpace space(m, 4);
+  sem::ElasticOperator op(space);
+  const perf::RooflineStat s = perf::roofline_for_plan(op.full_plan());
+  EXPECT_EQ(s.elements, 27);
+  EXPECT_DOUBLE_EQ(s.flops_per_elem, 43025.0);
+  EXPECT_DOUBLE_EQ(s.bytes_per_elem, 10168.0);
 }
 
 // ---------------------------------------------------------------------------

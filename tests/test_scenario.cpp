@@ -49,6 +49,17 @@ TEST(ScenarioRegistry, GetReturnsIndependentCopies) {
   EXPECT_NE(get("strip").mesh.n, 1234);
 }
 
+TEST(ScenarioRegistry, StripPopulatesEveryLevel) {
+  // The strip grades its fine-to-coarse jump through one cell per
+  // intermediate power-of-two width, so the checkpoint-replay and
+  // conformance tests that run it exercise a populated middle level.
+  const auto sim = get("strip").make_simulation();
+  const auto& lv = sim->levels();
+  ASSERT_GE(lv.num_levels, 3);
+  for (std::size_t k = 0; k < lv.level_counts.size(); ++k)
+    EXPECT_GT(lv.level_counts[k], 0) << "level " << k + 1;
+}
+
 TEST(ScenarioSpec, EqualityComparesWholeSpecs) {
   // Exercises the defaulted operator== chain down through MeshSpec,
   // MaterialRegion and mesh::Material (a missing member operator== would

@@ -1,6 +1,7 @@
 /// \file test_simd.cpp
 /// Unit tests for the explicit SIMD layer (common/simd.hpp): load/store and
-/// masked-tail round-trips and fma against the scalar reference at <= 1 ulp —
+/// masked-tail round-trips, lanewise add/sub/mul/div exactly, and fma against
+/// the scalar reference at <= 1 ulp —
 /// swept over every width the dispatch chain can select (1/2/4/8), so the
 /// generic template and whichever ISA specialization this binary compiled
 /// with are all exercised.
@@ -65,15 +66,17 @@ void expect_arithmetic_and_fma() {
     b[i] = 1.0 / (lane_value(i) + 2.0);
     c[i] = lane_value(W - i);
   }
-  real_t add[W], sub[W], mul[W], fm[W];
+  real_t add[W], sub[W], mul[W], div[W], fm[W];
   (V::load(a) + V::load(b)).store(add);
   (V::load(a) - V::load(b)).store(sub);
   (V::load(a) * V::load(b)).store(mul);
+  (V::load(a) / V::load(b)).store(div);
   fma(V::load(a), V::load(b), V::load(c)).store(fm);
   for (int i = 0; i < W; ++i) {
     EXPECT_EQ(add[i], a[i] + b[i]);
     EXPECT_EQ(sub[i], a[i] - b[i]);
     EXPECT_EQ(mul[i], a[i] * b[i]);
+    EXPECT_EQ(div[i], a[i] / b[i]) << "W=" << W << " lane " << i;
     // fma may be fused (one rounding) or mul+add (two roundings) depending on
     // the backend; both land within 1 ulp of the exact fused reference.
     const real_t exact = std::fma(a[i], b[i], c[i]);

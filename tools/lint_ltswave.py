@@ -35,10 +35,11 @@ compiler nor clang-tidy can check:
      against simd::Vec only.
 
   6. one resident metric copy — WaveOperator::full_plan() builds and pins
-     a full-mesh BatchPlan (every element's metric slabs) for the operator's
-     lifetime. Only the global-step Newmark path, which runs on that plan,
-     and the kernel calibration may call it in src/; an LTS solver calling
-     it would keep a second full-mesh metric copy beside its own level plan.
+     a full-mesh BatchPlan (every element's gather indices and geometry
+     rows) for the operator's lifetime. Only the global-step Newmark path,
+     which runs on that plan, and the kernel calibration may call it in
+     src/; an LTS solver calling it would keep a second full-mesh plan copy
+     beside its own level plan.
 
 Usage:
   tools/lint_ltswave.py [--root DIR]   lint the repo (exit 1 on violations)
