@@ -19,14 +19,17 @@
 /// as the baseline the other backends are compared with):
 ///  * set_state -> advance_cycles(n) -> state() reproduces the baseline
 ///    physics (to roundoff for LTS-scheme backends, to the discretization
-///    tolerance for reference schemes like plain Newmark);
+///    tolerance for reference schemes like "newmark", which runs the same
+///    engine on a one-level census at the CFL minimum step);
 ///  * sources registered before set_state contribute f(0) to the staggered
 ///    initial velocity; receivers sample at every cycle boundary;
 ///  * adopt_state_from(prev) continues prev's run exactly — state, clock,
 ///    work counters, sources and already-accumulated receiver traces all
 ///    carry over (the mid-run hand-off behind feedback repartitioning);
-///  * state() is cached per advance: distributed backends gather once per
-///    cycle, not once per call.
+///  * state() is the backend's live displacement vector, never a copy;
+///  * element_applies() counts the applies of advances only: it reads 0
+///    after set_state and cycles x LtsStructure::applies_per_cycle() after
+///    an advance (set_state's initial K u0 apply is not cycle work).
 ///
 /// Ownership and thread-safety:
 ///  * An Executor owns its dynamical state and any worker pool it spins up;
@@ -86,19 +89,15 @@ struct ExecutorContext {
   const SimulationConfig* cfg = nullptr;
 };
 
-/// Per-rank performance counters: one entry per rank for the LTS engine
-/// backends ("serial-lts" has exactly one, with zero stall), empty vectors
-/// for the rankless "newmark" reference. Sizes agree when non-empty.
-/// blocks_applied is
-/// backend-wide: batched kernel calls consumed so far (every backend runs the
-/// block path, so this is populated even when the per-rank vectors are not).
+/// Per-rank performance counters: one entry per rank ("serial-lts" and
+/// "newmark" have exactly one, with zero stall); empty only for a backend
+/// without ranks. Sizes agree when non-empty. blocks_applied is backend-wide:
+/// batched kernel calls consumed so far.
 struct ExecutorCounters {
   std::vector<double> busy_seconds;
   std::vector<double> stall_seconds;
   std::vector<std::int64_t> steal_counts;
   std::int64_t blocks_applied = 0;
-
-  [[nodiscard]] bool empty() const noexcept { return busy_seconds.empty(); }
 };
 
 /// The complete cross-cycle dynamical state of a backend at a cycle boundary
@@ -112,8 +111,8 @@ struct ExecutorCounters {
 /// from u at the start of a cycle — but their floating-point association
 /// history is not: importing them bitwise makes a same-backend restore
 /// reproduce the uninterrupted run bit for bit, while an import that drops
-/// them (a cross-backend restore) agrees only to roundoff. Backends without
-/// them (plain Newmark) leave both empty.
+/// them (a cross-backend restore) agrees only to roundoff. A one-level run
+/// ("newmark") has no accumulators, so both are empty.
 struct ExecutorState {
   std::vector<real_t> u;
   std::vector<real_t> v_half;
@@ -122,7 +121,7 @@ struct ExecutorState {
   std::int64_t cycles = 0;
   std::int64_t element_applies = 0;
   std::int64_t blocks_applied = 0;
-  /// Per-level element applies (LTS backends; empty for single-level).
+  /// Element applies per level, one entry per level of the census.
   std::vector<std::int64_t> applies_per_level;
   std::vector<std::vector<real_t>> frozen_forces; ///< A P_k u, k = 1..N-1
   std::vector<real_t> cumulative;                 ///< sum of frozen_forces
@@ -142,34 +141,21 @@ public:
 
   /// Sets u(0) and the physical velocity du/dt(0); the backend computes its
   /// staggered internal state, folding in f(0) of already-registered sources.
-  void set_state(std::span<const real_t> u0, std::span<const real_t> v0) {
-    do_set_state(u0, v0);
-    state_dirty_ = true;
-  }
+  virtual void set_state(std::span<const real_t> u0, std::span<const real_t> v0) = 0;
 
   /// Advances `cycles` coarse LTS cycles (for single-level schemes: steps).
   void advance_cycles(std::int64_t cycles) {
-    if (cycles <= 0) return;
-    do_advance_cycles(cycles);
-    state_dirty_ = true;
+    if (cycles > 0) do_advance_cycles(cycles);
   }
 
-  /// The displacement vector, gathered from wherever the backend keeps it and
-  /// cached until the next advance/set_state/adopt — repeated calls between
-  /// advances cost nothing, and backends with distributed state gather once
-  /// per cycle instead of once per call. Backends whose state already lives
-  /// in one contiguous host vector (direct_state) skip the cache entirely:
-  /// zero copies, exactly like the pre-Executor facade.
-  [[nodiscard]] const std::vector<real_t>& state() const {
-    if (const auto* direct = direct_state()) return *direct;
-    if (state_dirty_) {
-      gather_state(state_cache_);
-      state_dirty_ = false;
-    }
-    return state_cache_;
-  }
+  /// The backend's live displacement vector: no gather and no copy. The
+  /// reference is valid until the next advance, restore (import_state) or
+  /// feedback refine; read it again after any of them.
+  [[nodiscard]] virtual const std::vector<real_t>& state() const = 0;
 
   [[nodiscard]] virtual real_t time() const = 0;
+  /// Element applies of the advances so far (see the contract above: 0 after
+  /// set_state, cycles x applies_per_cycle after an advance).
   [[nodiscard]] virtual std::int64_t element_applies() const = 0;
   /// Batched kernel calls consumed so far — element_applies' companion under
   /// the block execution layer (one call advances up to BatchPlan::width()
@@ -207,12 +193,11 @@ public:
     do_adopt_state_from(prev);
     sources_ = prev.sources_;
     receivers_ = prev.receivers_;
-    state_dirty_ = true;
   }
 
   /// Snapshots the complete cross-cycle dynamical state (see ExecutorState).
   /// Call between advances only.
-  [[nodiscard]] ExecutorState export_state() const { return do_export_state(); }
+  [[nodiscard]] virtual ExecutorState export_state() const = 0;
 
   /// Overwrites this executor's dynamical state, clock and work counters with
   /// a snapshot — the checkpoint-restore counterpart of adopt_state_from.
@@ -223,10 +208,7 @@ public:
   /// backend kind — frozen-force accumulators that do not fit are dropped and
   /// recomputed, exact to roundoff. Requires s.u to match this backend's
   /// problem size; throws resilience::CheckpointMismatch otherwise.
-  void import_state(const ExecutorState& s) {
-    do_import_state(s);
-    state_dirty_ = true;
-  }
+  virtual void import_state(const ExecutorState& s) = 0;
 
   /// The staggered half-step velocity companion of state() — read-only view
   /// into the backend's live vector (HealthGuard scans it; export_state copies
@@ -236,7 +218,7 @@ public:
   /// Coarse cycles advanced so far (steps, for single-level schemes).
   [[nodiscard]] virtual std::int64_t cycles() const = 0;
 
-  /// Per-rank busy/stall/steal counters; empty for the rankless "newmark".
+  /// Per-rank busy/stall/steal counters; empty for a backend without ranks.
   [[nodiscard]] virtual ExecutorCounters counters() const { return {}; }
 
   /// Structured observability snapshot: per-phase timings, the per-rank
@@ -270,9 +252,9 @@ public:
 
   /// Repartitions from the backend's own measured counters and continues the
   /// run on the refined layout. Throws CheckFailure when unsupported.
-  void refine_from_feedback() {
-    do_refine_from_feedback();
-    state_dirty_ = true;
+  virtual void refine_from_feedback() {
+    LTS_CHECK_MSG(false, "executor '" << name_ << "' does not support feedback repartitioning "
+                                      << "(needs a rank-parallel backend, num_ranks > 1)");
   }
 
   /// The LTS engine driving this backend, when there is one —
@@ -282,7 +264,7 @@ public:
     return nullptr;
   }
 
-  /// The mesh partition driving this backend (nullptr for "newmark").
+  /// The mesh partition driving this backend (nullptr for a backend without one).
   [[nodiscard]] virtual const partition::Partition* partition() const noexcept { return nullptr; }
 
   /// Sources/receivers registered so far (the master record adopt copies).
@@ -296,25 +278,13 @@ public:
 protected:
   explicit Executor(std::string name) : name_(std::move(name)) {}
 
-  virtual void do_set_state(std::span<const real_t> u0, std::span<const real_t> v0) = 0;
   virtual void do_advance_cycles(std::int64_t cycles) = 0;
-  /// Return the backend's live displacement vector when it already is one
-  /// contiguous host vector ("newmark") — state() then aliases it with
-  /// no copy. Distributed backends return nullptr and gather instead.
-  [[nodiscard]] virtual const std::vector<real_t>* direct_state() const { return nullptr; }
-  virtual void gather_state(std::vector<real_t>& out) const = 0;
   virtual void do_add_source(const sem::PointSource& src) = 0;
   virtual void do_add_receiver(gindex_t node, int component) = 0;
   virtual void do_adopt_state_from(const Executor& prev) = 0;
-  [[nodiscard]] virtual ExecutorState do_export_state() const = 0;
-  virtual void do_import_state(const ExecutorState& s) = 0;
   /// Backend hook for run_report(): add phase stats, cycles and the roofline
   /// record. The default leaves the common fields as assembled.
   virtual void fill_report(perf::RunReport& /*report*/) const {}
-  virtual void do_refine_from_feedback() {
-    LTS_CHECK_MSG(false, "executor '" << name_ << "' does not support feedback repartitioning "
-                                      << "(needs a rank-parallel backend, num_ranks > 1)");
-  }
   /// Backends append resilience history (fault firings) here; shows up in
   /// run_report().events. Driving-thread only, like every public entry point.
   void record_event(perf::RunEvent event) { events_.push_back(std::move(event)); }
@@ -324,8 +294,6 @@ private:
   std::vector<perf::RunEvent> events_;
   std::vector<sem::PointSource> sources_;
   std::vector<ReceiverRecord> receivers_;
-  mutable std::vector<real_t> state_cache_;
-  mutable bool state_dirty_ = true;
 };
 
 /// String-keyed registry of execution backends — the only backend selector.
@@ -342,7 +310,8 @@ public:
 
   /// `uses_lts_levels` declares whether the backend runs the multi-level LTS
   /// scheme (the facade then assigns real levels) or a single-level reference
-  /// scheme at the global minimum step ("newmark"). Throws on duplicate name.
+  /// scheme at the global minimum step ("newmark", the LTS engine on a
+  /// one-level census). Throws on duplicate name.
   void register_backend(std::string name, std::string description, Builder builder,
                         bool uses_lts_levels = true);
 

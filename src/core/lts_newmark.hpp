@@ -24,7 +24,8 @@
 #include <vector>
 
 #include "core/lts_levels.hpp"
-#include "core/newmark.hpp"
+#include "sem/sources.hpp"
+#include "sem/wave_operator.hpp"
 
 namespace ltswave::core {
 

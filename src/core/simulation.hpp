@@ -20,6 +20,7 @@
 
 #include "core/lts_newmark.hpp"
 #include "partition/partitioners.hpp"
+#include "perf/run_report.hpp"
 #include "resilience/fault.hpp"
 #include "runtime/scheduler.hpp"
 #include "sem/sources.hpp"
@@ -147,9 +148,9 @@ public:
   /// snapshot count).
   [[nodiscard]] std::int64_t cycles() const;
 
-  /// The displacement vector. Gathered from the backend and cached per cycle
-  /// (invalidated by run/set_state/repartitioning), so distributed backends
-  /// pay one gather per advance, not one per call.
+  /// The displacement vector: the backend's live vector (Executor::state()),
+  /// no copy. The reference is valid until the next run, restore or
+  /// repartitioning.
   [[nodiscard]] const std::vector<real_t>& u() const;
   [[nodiscard]] const std::vector<sem::Receiver>& receivers() const noexcept { return receivers_; }
   [[nodiscard]] std::vector<sem::Receiver>& receivers() noexcept { return receivers_; }
@@ -176,14 +177,15 @@ public:
   [[nodiscard]] Executor& executor() noexcept { return *executor_; }
   [[nodiscard]] const std::string& executor_name() const noexcept { return cfg_.executor; }
 
-  /// The LTS engine when the backend runs it (every backend but "newmark"),
-  /// else nullptr.
+  /// The LTS engine when the backend runs it (every builtin backend, "newmark"
+  /// included), else nullptr.
   /// Exposes scheduler mode, per-rank busy/stall/steal counters, and
   /// per-level participation to benches and examples.
   [[nodiscard]] const runtime::ThreadedLtsSolver* threaded() const noexcept;
   [[nodiscard]] runtime::ThreadedLtsSolver* threaded() noexcept;
 
-  /// The mesh partition driving the backend (empty for "newmark").
+  /// The mesh partition driving the backend (one part for "serial-lts" and
+  /// "newmark"; empty for a backend without one).
   [[nodiscard]] const partition::Partition& part() const noexcept;
 
   /// Repartitions from the backend's measured busy/stall/steal counters

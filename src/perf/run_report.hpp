@@ -13,7 +13,7 @@
 ///    reduction fold "reduce", row updates "update", source injection
 ///    "sources", receiver sampling "receivers", and barrier wait "barrier");
 ///  * the per-rank busy/stall/steal vectors (lifetime, matching
-///    core::ExecutorCounters — serial backends leave them empty);
+///    core::ExecutorCounters — one slot per rank);
 ///  * lifetime work counters (cycles, element applies, blocks applied);
 ///  * an optional static roofline record (see roofline.hpp) giving the
 ///    flop/byte balance of the plan the run executed.

@@ -23,18 +23,19 @@ ThreadedLtsSolver::ThreadedLtsSolver(const sem::WaveOperator& op,
       cfg_(cfg),
       nranks_(part.num_parts),
       ncomp_(op.ncomp()),
-      dt_(levels.dt) {
+      dt_(levels.dt),
+      fused_(levels.num_levels == 1 && part.num_parts == 1 &&
+             cfg.mode != SchedulerMode::LevelAwareSteal),
+      inv_mass_(op.space().inv_mass()) {
   LTS_CHECK(part.part.size() == static_cast<std::size_t>(op.space().num_elems()));
   LTS_CHECK(nranks_ >= 1);
   const auto& space = op.space();
   ndof_ = static_cast<std::size_t>(space.num_global_nodes()) * static_cast<std::size_t>(ncomp_);
 
-  // One inverse-mass entry per node; all components share it.
-  inv_mass_ = space.inv_mass();
-
-  // Untouched allocations: first_touch_rank_buffers() has each pool worker
-  // zero the rows it owns, which places the pages (see the file comment).
-  u_ = std::make_unique_for_overwrite<real_t[]>(ndof_);
+  // state() hands u out by reference, so it is a plain vector; v and
+  // scratch are untouched allocations that first_touch_rank_buffers() has
+  // each pool worker zero on the rows it owns (see the file comment).
+  u_.assign(ndof_, 0.0);
   v_ = std::make_unique_for_overwrite<real_t[]>(ndof_);
   scratch_ = std::make_unique_for_overwrite<real_t[]>(ndof_);
 
@@ -126,13 +127,12 @@ void ThreadedLtsSolver::first_touch_rank_buffers() {
     const auto nc = static_cast<std::size_t>(ncomp_);
     for (auto& level_chunks : rd.chunks)
       for (auto& ch : level_chunks) ch.acc.assign(ch.rows.size() * nc, 0.0);
-    // First touch of the shared u/v/scratch state: zero the rows this rank
+    // First touch of the shared v/scratch state: zero the rows this rank
     // owns (every global node has an owner < nranks_, so together the workers
     // initialize every entry — and each page lands on its updater's node).
     for (std::size_t g = 0; g < row_owner_.size(); ++g) {
       if (row_owner_[g] != r) continue;
       for (std::size_t c = 0; c < nc; ++c) {
-        u_[g * nc + c] = 0.0;
         v_[g * nc + c] = 0.0;
         scratch_[g * nc + c] = 0.0;
       }
@@ -187,8 +187,20 @@ void ThreadedLtsSolver::build_rank_data() {
   // without sorting: a counting pass and a fill pass that both visit ranks in
   // ascending order, with a per-row "last rank" stamp so each (row, rank)
   // pair counts once. Every toucher list thereby comes out rank-sorted, its
-  // first entry being the row's owner (the minimum touching rank).
-  {
+  // first entry being the row's owner (the minimum touching rank). A lone
+  // rank touches and owns every row, so its lists are the structure's own:
+  // it skips the census and the row-list copies it would build and free.
+  if (nranks_ == 1) {
+    auto& rd = ranks_[0];
+    for (std::size_t L = 0; L < static_cast<std::size_t>(nl); ++L) {
+      rd.eval_elems[L] = st.eval_elems[L];
+      rd.private_rows[L].view(st.eval_rows[L]);
+      rd.solo_rows[L].view(st.eval_rows[L]);
+      rd.update_rows[L].view(st.update_rows[L]);
+      rd.recon_rows[L].view(st.recon_rows[L]);
+      if (steal) rd.owned_rows[L] = st.eval_rows[L];
+    }
+  } else {
     std::vector<rank_t> stamp(nnodes);
     std::vector<index_t> touch_off(nnodes + 1);
     std::vector<rank_t> touchers;
@@ -560,7 +572,7 @@ void ThreadedLtsSolver::adopt_state_from(const ThreadedLtsSolver& prev) {
   LTS_CHECK(ndof_ == prev.ndof_);
   LTS_CHECK_MSG(sources_.empty() && traces_.empty(),
                 "adopt_state_from expects a freshly built solver");
-  std::copy(prev.u_.get(), prev.u_.get() + ndof_, u_.get());
+  std::copy(prev.u_.begin(), prev.u_.end(), u_.begin());
   std::copy(prev.v_.get(), prev.v_.get() + ndof_, v_.get());
   std::copy(prev.scratch_.get(), prev.scratch_.get() + ndof_, scratch_.get());
   // The frozen forces live on prev's fold rows, which its partition chose;
@@ -579,13 +591,13 @@ void ThreadedLtsSolver::adopt_state_from(const ThreadedLtsSolver& prev) {
 
 void ThreadedLtsSolver::set_state(std::span<const real_t> u0, std::span<const real_t> v0) {
   LTS_CHECK(u0.size() == ndof_ && v0.size() == ndof_);
-  std::copy(u0.begin(), u0.end(), u_.get());
+  std::copy(u0.begin(), u0.end(), u_.begin());
   std::fill(scratch_.get(), scratch_.get() + ndof_, 0.0);
   // K u through the solver's own plan: its (rank, level) groups cover E(k)
   // per level with the level-k column mask, and sum_k P_k = I, so all of
   // them together apply K u. The operator's full_plan() would pin a second
   // full-mesh metric copy for this one apply. The workspace is rank 0's.
-  op_->apply_add_blocks(*plan_, 0, plan_->num_blocks(), u_.get(), scratch_.get(),
+  op_->apply_add_blocks(*plan_, 0, plan_->num_blocks(), u_.data(), scratch_.get(),
                         *ranks_[0].workspace);
   const std::size_t nc = static_cast<std::size_t>(ncomp_);
   if (sources_.empty()) {
@@ -595,8 +607,7 @@ void ThreadedLtsSolver::set_state(std::span<const real_t> u0, std::span<const re
         v_[g * nc + c] = v0[g * nc + c] + 0.5 * dt_ * im * scratch_[g * nc + c];
     }
   } else {
-    // v^{-1/2} = v(0) - dt/2 * Minv (f(0) - K u0), exactly as
-    // core::NewmarkSolver computes the staggered start with sources.
+    // v^{-1/2} = v(0) - dt/2 * Minv (f(0) - K u0).
     std::vector<real_t> f(ndof_, 0.0);
     for (const auto& s : sources_) s.accumulate(0.0, ncomp_, f.data());
     for (std::size_t g = 0; g < inv_mass_.size(); ++g) {
@@ -620,7 +631,7 @@ void ThreadedLtsSolver::adopt_raw_state(std::span<const real_t> u, std::span<con
                                         real_t time, std::int64_t cycles_done) {
   LTS_CHECK(u.size() == ndof_ && v_half.size() == ndof_);
   LTS_CHECK(cycles_done >= 0);
-  std::copy(u.begin(), u.end(), u_.get());
+  std::copy(u.begin(), u.end(), u_.begin());
   std::copy(v_half.begin(), v_half.end(), v_.get());
   cycles_done_ = cycles_done;
   // When the adopted clock sits exactly on the cycle grid (same-dt restore),
@@ -693,7 +704,7 @@ void ThreadedLtsSolver::run_chunk(RankData& self, Chunk& chunk) {
   real_t* buf = self.private_buf.data();
   for (const gindex_t g : chunk.rows)
     for (std::size_t c = 0; c < nc; ++c) buf[static_cast<std::size_t>(g) * nc + c] = 0.0;
-  op_->apply_add_blocks(*plan_, chunk.first_block, chunk.last_block, u_.get(), buf,
+  op_->apply_add_blocks(*plan_, chunk.first_block, chunk.last_block, u_.data(), buf,
                         *self.workspace);
   real_t* acc = chunk.acc.data();
   for (std::size_t i = 0; i < chunk.rows.size(); ++i) {
@@ -734,13 +745,17 @@ void ThreadedLtsSolver::eval_phase(rank_t r, level_t k) {
       }
     }
   } else {
-    // Private batched accumulation of this rank's share of E(k).
+    // Private batched accumulation of this rank's share of E(k). The fused
+    // one-level rank touches every row, so it zeroes scratch_ in one fill.
     real_t* buf = acc_buffer(rd);
-    for (gindex_t g : rd.private_rows[L])
-      for (int c = 0; c < ncomp_; ++c)
-        buf[static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c)] = 0.0;
+    if (fused_)
+      std::fill(buf, buf + ndof_, 0.0);
+    else
+      for (gindex_t g : rd.private_rows[L])
+        for (int c = 0; c < ncomp_; ++c)
+          buf[static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c)] = 0.0;
     const auto range = plan_->group_blocks(group_index(r, k));
-    op_->apply_add_blocks(*plan_, range.first, range.last, u_.get(), buf, *rd.workspace);
+    op_->apply_add_blocks(*plan_, range.first, range.last, u_.data(), buf, *rd.workspace);
   }
   {
     const double s = timer.seconds();
@@ -749,6 +764,8 @@ void ThreadedLtsSolver::eval_phase(rank_t r, level_t k) {
   }
 
   sync(r, k); // all private contributions complete
+  // The fused one-level update scales K u by Minv itself (thread_main).
+  if (fused_) return;
 
   // Reduction (the "MPI exchange"): owners combine contributions, scale by
   // Minv, and refresh the frozen-force accumulators. Only the deepest level
@@ -999,12 +1016,24 @@ void ThreadedLtsSolver::thread_main(rank_t r, std::int64_t cycles) {
           v_[i] += 2.0 * (u_[i] - saved) / dt_;
           u_[i] = saved + dt_ * v_[i];
         }
-      for (gindex_t g : rd.update_rows[0])
-        for (std::size_t c = 0; c < nc; ++c) {
-          const std::size_t i = static_cast<std::size_t>(g) * nc + c;
-          v_[i] -= dt_ * force1[i];
-          u_[i] += dt_ * v_[i];
-        }
+      if (fused_) {
+        // S(1) is every row and scratch_ holds K u unscaled: the Minv fold
+        // and the leapfrog step run as one contiguous pass, with the fold's
+        // own product, so the result is bitwise the unfused one.
+        for (std::size_t g = 0; g < inv_mass_.size(); ++g)
+          for (std::size_t c = 0; c < nc; ++c) {
+            const std::size_t i = g * nc + c;
+            v_[i] -= dt_ * (inv_mass_[g] * scratch_[i]);
+            u_[i] += dt_ * v_[i];
+          }
+      } else {
+        for (gindex_t g : rd.update_rows[0])
+          for (std::size_t c = 0; c < nc; ++c) {
+            const std::size_t i = static_cast<std::size_t>(g) * nc + c;
+            v_[i] -= dt_ * force1[i];
+            u_[i] += dt_ * v_[i];
+          }
+      }
       // Level-1 rows take the cycle-frozen source in the physical leapfrog
       // step of S(1), after the fine recursion.
       double t_src = 0, t_recv = 0;

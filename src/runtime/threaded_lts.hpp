@@ -31,11 +31,18 @@
 /// The per-rank block slabs (and workspaces, accumulation buffers and chunk
 /// buffers) are first-touch initialized by their owning pool thread, so on
 /// NUMA machines each rank's hot data lands on its own memory node. The
-/// *shared* global u/v/scratch vectors get the same treatment: they are
+/// *shared* global v/scratch vectors get the same treatment: they are
 /// allocated untouched (raw arrays, not value-initialized std::vector) and
-/// each pool worker zeroes the rows it owns (row_owner_), so every page of
-/// the shared state is resident on the memory node of the rank that updates
-/// — and most often reads — it.
+/// each pool worker zeroes the rows it owns (row_owner_), so every page is
+/// resident on the memory node of the rank that updates it. u is the
+/// exception: it is a plain vector, zeroed by the constructing thread,
+/// because Executor::state() hands it out by reference instead of copying.
+///
+/// One level on one rank without stealing (the "newmark" backend) is fused:
+/// the rank's accumulation buffer is scratch_ itself, so the eval phase
+/// zeroes it in one contiguous fill and skips the Minv fold, and the level-1
+/// update applies v -= dt * (Minv K u); u += dt * v in one pass over every
+/// row — the fold's and the update's arithmetic, bitwise unchanged.
 ///
 /// Synchronization is governed by a SchedulerMode (see runtime/scheduler.hpp):
 /// the legacy barrier-all mode makes every rank arrive at every substep
@@ -162,7 +169,7 @@ public:
   /// Registers a point source; the rank owning the source node's row injects
   /// it during that node's level-local updates. Must not be called while
   /// run_cycles is executing. Call before set_state so the staggered
-  /// initial velocity sees f(0), exactly as core::NewmarkSolver does.
+  /// initial velocity sees f(0).
   void add_source(const sem::PointSource& src);
 
   /// Registers a receiver sampled at every cycle boundary by the rank owning
@@ -187,10 +194,11 @@ public:
   /// (u, v, time, counters) carries over between calls.
   double run_cycles(std::int64_t cycles);
 
-  /// Read-only views of the shared global state. Spans, not vectors: the
-  /// backing arrays are first-touch-placed raw allocations (see the file
-  /// comment), stable for the solver's lifetime.
-  [[nodiscard]] std::span<const real_t> u() const noexcept { return {u_.get(), ndof_}; }
+  /// Read-only views of the shared global state, stable for the solver's
+  /// lifetime. u is the vector itself (Executor::state() aliases it); v_half
+  /// is a span over a first-touch-placed raw allocation (see the file
+  /// comment).
+  [[nodiscard]] const std::vector<real_t>& u() const noexcept { return u_; }
   [[nodiscard]] std::span<const real_t> v_half() const noexcept { return {v_.get(), ndof_}; }
   /// Completed LTS cycles since construction / the last set_state. Time and
   /// work counters derive from this integer — no floating-point drift.
@@ -274,7 +282,10 @@ private:
     /// Seals the list. `whole` is the structure list the rows were drawn
     /// from in order, so an equal size means an equal list.
     void finish(const std::vector<gindex_t>& whole) {
-      if (own_.size() != whole.size()) return;
+      if (own_.size() == whole.size()) view(whole);
+    }
+    /// Views `whole` itself: the rank's share is all of it.
+    void view(const std::vector<gindex_t>& whole) {
       own_ = std::vector<gindex_t>(); // releases the capacity, unlike clear()
       whole_ = &whole;
     }
@@ -428,16 +439,19 @@ private:
   std::atomic<bool> fault_fired_{false};
   std::size_t ndof_ = 0;
   std::int64_t blocks_per_cycle_ = 0;
+  /// One level on one rank without stealing: the fused update (file comment).
+  bool fused_;
 
   /// Batched execution plan, groups ordered (rank, level); slabs are filled
   /// (first-touched) by the owning pool workers, not the constructing thread.
   std::unique_ptr<sem::BatchPlan> plan_;
 
-  std::vector<real_t> inv_mass_; // per node (components share it)
-  // Shared global state (ndof_ each): raw arrays allocated untouched so the
-  // pool workers' per-owned-row zeroing is the first touch of every page.
-  std::unique_ptr<real_t[]> u_, v_;
-  std::unique_ptr<real_t[]> scratch_;
+  std::span<const real_t> inv_mass_; // the space's, per node (components share it)
+  // Shared global state (ndof_ each). v and scratch are raw arrays allocated
+  // untouched, so the pool workers' per-owned-row zeroing is the first touch
+  // of every page.
+  std::vector<real_t> u_;
+  std::unique_ptr<real_t[]> v_, scratch_;
   std::vector<real_t> cumulative_; // sum of the frozen forces (ndof_, or empty on one level)
 
   std::vector<sem::PointSource> sources_; // master list (adopt/redistribute)

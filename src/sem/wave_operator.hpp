@@ -18,7 +18,7 @@
 /// engine (sem/kernels.hpp); the operators own the gather/scatter against the
 /// global vectors and the resolved kernel function pointers. Every operator
 /// also exposes a lazily built BatchPlan over all its elements in natural
-/// order (full_plan) — the global-step Newmark path's plan.
+/// order (full_plan) for measurement code.
 ///
 /// Kernels are written against a caller-owned scratch workspace so that the
 /// same operator object can be used concurrently from many threads (one
@@ -85,9 +85,9 @@ public:
   /// All-elements unmasked BatchPlan in natural element order — K u over
   /// every element. Built lazily on first call and then kept for the
   /// operator's lifetime, so it is a second resident metric copy for any
-  /// solver that holds its own plan: only the global-step Newmark path (and
-  /// measurement code) may use it — the LTS solvers apply K u through their
-  /// level plans. Not thread-safe on the *first* call: callers run on the
+  /// solver that holds its own plan: only measurement code may use it — the
+  /// LTS engine (the "newmark" backend included) applies K u through its own
+  /// plan. Not thread-safe on the *first* call: callers run on the
   /// driving thread while any worker pool is idle.
   [[nodiscard]] const BatchPlan& full_plan() const;
 

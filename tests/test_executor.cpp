@@ -2,9 +2,10 @@
 // backend must honor the full contract — set_state -> advance -> state parity
 // with the serial-LTS baseline, exact adopt_state_from hand-off (state,
 // clock, work counters, sources, receiver traces), source/receiver behavior,
-// counters shape — plus the facade-level guarantees: explicit name selection
-// (serial-lts is the one-rank LTS engine), the per-cycle state-gather cache,
-// and clear errors for unknown backends. A new backend registered with ExecutorFactory is
+// counters shape, the element_applies contract — plus the facade-level
+// guarantees: explicit name selection (serial-lts and newmark are the
+// one-rank LTS engine), u() aliasing the engine's state vector, and clear
+// errors for unknown backends. A new backend registered with ExecutorFactory is
 // covered by this file with zero edits.
 
 #include <gtest/gtest.h>
@@ -167,6 +168,8 @@ TEST(ExecutorContract, AdoptStateFromContinuesRunExactly) {
 }
 
 TEST(ExecutorContract, AdoptAcrossBackendKindsThrows) {
+  // newmark runs the same engine as serial-lts, but over its own one-level
+  // census: a hand-off between the two discretizations is refused.
   const Rig lts_rig("serial-lts");
   auto lts = lts_rig.create();
   const auto u0 = lts_rig.gaussian_state();
@@ -205,18 +208,9 @@ TEST(ExecutorContract, CountersShapeMatchesBackendKind) {
     const Rig rig(name);
     auto exec = rig.create();
     const auto c = exec->counters();
-    if (name == "newmark") {
-      // The rankless reference scheme: empty per-rank vectors, no partition.
-      EXPECT_TRUE(c.empty()) << name;
-      EXPECT_EQ(exec->threaded_solver(), nullptr) << name;
-      EXPECT_EQ(exec->partition(), nullptr) << name;
-      EXPECT_FALSE(exec->supports_feedback()) << name;
-      EXPECT_THROW(exec->refine_from_feedback(), CheckFailure) << name;
-      continue;
-    }
-    // The LTS engine: one counter slot per rank — serial-lts is always one
-    // rank, whatever the config's rank count (4 here).
-    const std::size_t ranks = name == "serial-lts" ? 1 : 4;
+    // The LTS engine: one counter slot per rank — serial-lts and newmark are
+    // always one rank, whatever the config's rank count (4 here).
+    const std::size_t ranks = name == "serial-lts" || name == "newmark" ? 1 : 4;
     EXPECT_EQ(c.busy_seconds.size(), ranks) << name;
     EXPECT_EQ(c.stall_seconds.size(), ranks) << name;
     EXPECT_EQ(c.steal_counts.size(), ranks) << name;
@@ -271,35 +265,49 @@ TEST(ExecutorContract, SerialLtsReportsOneRankWithoutStall) {
   EXPECT_EQ(report.cycles, 3);
 }
 
-TEST(ExecutorContract, StateGatherIsCachedPerCycleAndInvalidated) {
-  // The satellite fix: u() on any backend gathers once per advance, not once
-  // per call — repeated polling between cycles returns the same buffer.
-  SimulationConfig cfg;
-  cfg.order = 2;
-  cfg.executor = "threaded/level-aware";
-  cfg.num_ranks = 4;
-  cfg.scheduler.oversubscribe = runtime::Oversubscribe::Warn;
-  WaveSimulation sim(mesh::make_strip_mesh(12, 0.4, 4.0), cfg);
-  std::vector<real_t> u0(static_cast<std::size_t>(sim.space().num_global_nodes()), 0.0);
-  for (gindex_t g = 0; g < sim.space().num_global_nodes(); ++g)
-    u0[static_cast<std::size_t>(g)] =
-        std::exp(-30.0 * (sim.space().node_coord(g)[0] - 0.2) *
-                 (sim.space().node_coord(g)[0] - 0.2));
-  sim.set_state(u0, std::vector<real_t>(u0.size(), 0.0));
+TEST(ExecutorContract, ElementAppliesCountAdvancesOnly) {
+  // One contract for every backend: set_state's initial K u0 apply is not
+  // cycle work, and each cycle costs exactly the structure's applies.
+  for (const auto& name : ExecutorFactory::instance().names()) {
+    const Rig rig(name);
+    auto exec = rig.create();
+    const auto u0 = rig.gaussian_state();
+    exec->set_state(u0, std::vector<real_t>(u0.size(), 0.0));
+    EXPECT_EQ(exec->element_applies(), 0) << name;
+    exec->advance_cycles(5);
+    EXPECT_EQ(exec->element_applies(), 5 * rig.structure.applies_per_cycle()) << name;
+  }
+}
 
-  // set_state invalidates: the first gather reflects the new state.
-  const auto& s1 = sim.u();
-  EXPECT_EQ(s1, u0);
-  // Repeated calls return the identical cached buffer (no re-gather).
-  EXPECT_EQ(&sim.u(), &s1);
-  EXPECT_EQ(&sim.u(), &s1);
-
-  // Advancing invalidates: the next gather sees the evolved field.
-  const std::vector<real_t> before = s1;
-  sim.run(sim.dt() * 2);
-  const auto& s2 = sim.u();
-  EXPECT_GT(rel_l2(s2, before), 0.0);
-  EXPECT_EQ(&sim.u(), &s2);
+TEST(ExecutorContract, StateAliasesTheEngineVector) {
+  // u() is the engine's live displacement vector on every backend, never a
+  // gathered copy — so no second ndof vector stays resident beside it — and
+  // it reflects set_state and every advance.
+  for (const auto& name : ExecutorFactory::instance().names()) {
+    SimulationConfig cfg;
+    cfg.order = 2;
+    cfg.executor = name;
+    cfg.num_ranks = 3;
+    cfg.scheduler.oversubscribe = runtime::Oversubscribe::Warn;
+    WaveSimulation sim(mesh::make_strip_mesh(12, 0.4, 4.0), cfg);
+    std::vector<real_t> u0(static_cast<std::size_t>(sim.space().num_global_nodes()), 0.0);
+    for (gindex_t g = 0; g < sim.space().num_global_nodes(); ++g) {
+      const real_t x = sim.space().node_coord(g)[0];
+      u0[static_cast<std::size_t>(g)] = std::exp(-30.0 * (x - 0.2) * (x - 0.2));
+    }
+    sim.set_state(u0, std::vector<real_t>(u0.size(), 0.0));
+    if (sim.threaded() == nullptr) {
+      ADD_FAILURE() << name << " runs no LTS engine";
+      continue;
+    }
+    EXPECT_EQ(sim.u(), u0) << name;
+    EXPECT_EQ(sim.u().data(), sim.threaded()->u().data()) << name;
+    for (int i = 0; i < 3; ++i) {
+      sim.run(sim.dt());
+      EXPECT_EQ(sim.u().data(), sim.threaded()->u().data()) << name << " advance " << i;
+    }
+    EXPECT_GT(rel_l2(sim.u(), u0), 0.0) << name;
+  }
 }
 
 TEST(Facade, SelectsExecutorByName) {
@@ -318,11 +326,14 @@ TEST(Facade, SelectsExecutorByName) {
     SimulationConfig cfg;
     cfg.order = 2;
     cfg.executor = "newmark";
+    cfg.num_ranks = 4;
     WaveSimulation sim(m, cfg);
     EXPECT_EQ(sim.executor_name(), "newmark");
     EXPECT_EQ(sim.levels().num_levels, 1);
-    EXPECT_EQ(sim.threaded(), nullptr);
-    EXPECT_EQ(sim.part().num_parts, 0); // the reference scheme has no partition
+    // The LTS engine on one level and one rank, whatever the rank count.
+    ASSERT_NE(sim.threaded(), nullptr);
+    EXPECT_EQ(sim.threaded()->num_ranks(), 1);
+    EXPECT_EQ(sim.part().num_parts, 1);
   }
   {
     SimulationConfig cfg;

@@ -1,6 +1,7 @@
 // LTS-Newmark tests — the heart of the reproduction, run on the production
 // engine (runtime::ThreadedLtsSolver) on one rank, i.e. the serial-lts
-// backend's solver:
+// backend's solver. The global Newmark reference is the reference
+// transcription on a one-level census (newmark_reference.hpp):
 //  * single level == global Newmark exactly,
 //  * production engine == reference transcription of Algorithm 1 (to 1e-10)
 //    across level counts, physics, and orders,
@@ -14,6 +15,7 @@
 
 #include "core/energy.hpp"
 #include "mesh/generators.hpp"
+#include "newmark_reference.hpp"
 #include "runtime/threaded_lts.hpp"
 
 namespace ltswave::core {
@@ -80,7 +82,7 @@ TEST(Lts, SingleLevelMatchesNewmarkExactly) {
   ASSERT_EQ(s.levels.num_levels, 1);
 
   const auto lts = s.lts();
-  NewmarkSolver newmark(*s.op, s.levels.dt);
+  LtsNewmarkReference newmark(*s.op, s.levels, s.structure);
   const auto u0 = s.smooth_initial();
   const std::vector<real_t> v0(s.ndof, 0.0);
   lts->set_state(u0, v0);
@@ -171,10 +173,10 @@ TEST(Lts, ConvergesToFineNewmarkSolution) {
     const real_t t_end = s.levels.dt * 8;
     while (lts->time() < t_end - 1e-12) lts->run_cycles(1);
     // Fine-step Newmark reference at a much smaller step.
-    NewmarkSolver fine(*s.op, lv.dt / 64);
-    fine.set_state(u0, v0);
-    while (fine.time() < t_end - 1e-12) fine.step();
-    return max_abs_diff(lts->u(), fine.u());
+    NewmarkReference fine(s.mesh, *s.op, lv.dt / 64);
+    fine->set_state(u0, v0);
+    while (fine->time() < t_end - 1e-12) fine->step();
+    return max_abs_diff(lts->u(), fine->u());
   };
 
   const real_t e1 = run(1.0);
@@ -260,11 +262,11 @@ TEST(Lts, SourceRunMatchesFineNewmark) {
   const std::vector<real_t> zero(s.ndof, 0.0);
   const real_t t_end = s.levels.dt * 30;
 
-  NewmarkSolver fine(*s.op, s.levels.dt / 64);
-  fine.add_source(src);
-  fine.set_state(zero, zero);
-  while (fine.time() < t_end - 1e-12) fine.step();
-  const real_t scale = max_abs(fine.u());
+  NewmarkReference fine(s.mesh, *s.op, s.levels.dt / 64);
+  fine->add_source(src);
+  fine->set_state(zero, zero);
+  while (fine->time() < t_end - 1e-12) fine->step();
+  const real_t scale = max_abs(fine->u());
   ASSERT_GT(scale, 0);
 
   auto lts_error = [&](real_t dt_scale) {
@@ -274,7 +276,7 @@ TEST(Lts, SourceRunMatchesFineNewmark) {
     lts->add_source(src);
     lts->set_state(zero, zero);
     while (lts->time() < t_end - 1e-12) lts->run_cycles(1);
-    return max_abs_diff(lts->u(), fine.u());
+    return max_abs_diff(lts->u(), fine->u());
   };
 
   const real_t e1 = lts_error(1.0);

@@ -191,7 +191,7 @@ TEST(Threaded, SingleLevelFallsBackToNewmark) {
   const auto part = s.make_partition(4);
   for (const SchedulerMode mode : kAllSchedulerModes) {
     ThreadedLtsSolver threaded(*s.op, s.levels, s.structure, part, cfg_for(mode));
-    core::NewmarkSolver serial(*s.op, s.levels.dt);
+    core::LtsNewmarkReference serial(*s.op, s.levels, s.structure); // global Newmark
     const auto u0 = s.initial();
     const std::vector<real_t> v0(s.ndof, 0.0);
     threaded.set_state(u0, v0);
