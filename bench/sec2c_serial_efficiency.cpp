@@ -3,18 +3,29 @@
 // by the model of Eq. 9 (measured on 2.5M-element meshes). Efficiency is
 // limited by halo elements — coarse elements adjacent to finer levels that
 // must be re-evaluated at the finer rate — whose share shrinks as the mesh
-// grows. We measure *real wall-clock* for the LTS engine on N levels against
-// the same engine on one level at the CFL minimum step (global Newmark, the
-// "newmark" backend) across mesh sizes and report measured speedup, model
-// speedup, and their ratio.
+// grows — and by what an LTS element apply costs beyond a Newmark apply. We
+// measure *real wall-clock* for the LTS engine on N levels against the same
+// engine on one level at the CFL minimum step (global Newmark, the "newmark"
+// backend) across mesh sizes and report measured speedup, model speedup,
+// their ratio, and the cost of one LTS element apply over one Newmark apply.
+//
+// Each scheme's time is the best of `runs` runs over the same simulated span
+// of `cycles` LTS cycles, which keeps the efficiency column steady on a
+// shared machine. Knobs (all optional):
+//   --out=<path>   the best runs' structured reports (default BENCH_sec2c.json)
+//   runs=<n>       timed runs per scheme and mesh        (default 5)
+//   cycles=<n>     LTS cycles per timed run              (default 10)
 
 #include <cmath>
 #include <iostream>
+#include <string>
+#include <string_view>
 
+#include "common/kv.hpp"
 #include "common/table.hpp"
-#include "common/timer.hpp"
 #include "mesh/generators.hpp"
 #include "paper_meshes.hpp"
+#include "perf/run_report.hpp"
 #include "runtime/threaded_lts.hpp"
 
 using namespace ltswave;
@@ -27,9 +38,33 @@ struct Row {
   double model_speedup;
   double work_ratio; // model applies / actual applies (halo share)
   double measured_speedup;
+  double apply_ratio; // seconds per LTS element apply / per Newmark element apply
 };
 
-Row run_case(index_t n) {
+/// The best of `runs` timed runs of `cycles` cycles each from the same start
+/// state, after one warm-up cycle; returns that run's report.
+perf::RunReport best_run(runtime::ThreadedLtsSolver& solver, std::span<const real_t> u0,
+                         std::span<const real_t> v0, std::int64_t cycles, int runs) {
+  solver.set_state(u0, v0);
+  solver.run_cycles(1);
+  perf::RunReport best;
+  for (int i = 0; i < runs; ++i) {
+    solver.set_state(u0, v0);
+    solver.reset_counters();
+    const double wall = solver.run_cycles(cycles);
+    if (i == 0 || wall < best.wall_seconds) {
+      best = solver.run_report();
+      best.wall_seconds = wall;
+    }
+  }
+  return best;
+}
+
+double seconds_per_apply(const perf::RunReport& r) {
+  return r.wall_seconds / static_cast<double>(r.element_applies);
+}
+
+Row run_case(index_t n, std::int64_t cycles, int runs, std::vector<perf::RunReport>& reports) {
   const auto m = mesh::make_trench_mesh({.n = n,
                                          .nz = static_cast<index_t>(2 * n / 3),
                                          .squeeze = 8.0,
@@ -53,24 +88,19 @@ Row run_case(index_t n) {
   }
   const std::vector<real_t> v0(ndof, 0.0);
 
-  // Simulate the same physical duration with both schemes.
-  const real_t duration = lts_levels.dt * 4;
+  // Both schemes simulate the same span: `cycles` LTS cycles, or the Newmark
+  // steps covering it.
+  const real_t span = lts_levels.dt * static_cast<real_t>(cycles);
+  const auto steps = static_cast<std::int64_t>(std::ceil(span / uni_levels.dt - 1e-9));
 
-  // The production LTS engine on one rank (the serial-lts backend), inline.
+  // The production LTS engine on one rank (the serial-lts backend), inline,
+  // and the same engine on one level: global Newmark at Delta-t_min.
   const partition::Partition one_rank{
       1, std::vector<rank_t>(static_cast<std::size_t>(m.num_elems()), 0)};
   runtime::ThreadedLtsSolver lts(op, lts_levels, st, one_rank);
-  lts.set_state(u0, v0);
-  WallTimer t_lts;
-  while (lts.time() < duration - 1e-12) lts.run_cycles(1);
-  const double lts_seconds = t_lts.seconds();
-
-  // The same engine on one level: global Newmark at Delta-t_min.
   runtime::ThreadedLtsSolver newmark(op, uni_levels, uni_st, one_rank);
-  newmark.set_state(u0, v0);
-  WallTimer t_nm;
-  while (newmark.time() < duration - 1e-12) newmark.run_cycles(1);
-  const double nm_seconds = t_nm.seconds();
+  auto lts_report = best_run(lts, u0, v0, cycles, runs);
+  auto nm_report = best_run(newmark, u0, v0, steps, runs);
 
   Row r;
   r.n = n;
@@ -80,34 +110,77 @@ Row run_case(index_t n) {
                      lts_levels.dt); // correct for dt_min != dt/p_max exactly
   r.work_ratio = static_cast<double>(core::model_applies_per_cycle(lts_levels)) /
                  static_cast<double>(st.applies_per_cycle());
-  r.measured_speedup = nm_seconds / lts_seconds;
+  r.measured_speedup = nm_report.wall_seconds / lts_report.wall_seconds;
+  r.apply_ratio = seconds_per_apply(lts_report) / seconds_per_apply(nm_report);
+
+  const std::string config = "n=" + std::to_string(n) + " runs=" + std::to_string(runs) +
+                              " cycles=" + std::to_string(cycles);
+  lts_report.executor = "serial-lts";
+  nm_report.executor = "newmark";
+  for (auto* rep : {&lts_report, &nm_report}) {
+    rep->scenario = "sec2c-trench";
+    rep->config = config;
+    reports.push_back(std::move(*rep));
+  }
   return r;
 }
 
 } // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  std::string out_path = "BENCH_sec2c.json";
+  std::int64_t cycles = 10;
+  int runs = 5;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.rfind("--out=", 0) == 0) {
+      out_path = arg.substr(6);
+      continue;
+    }
+    const std::size_t eq = arg.find('=');
+    const std::string_view key = eq == std::string_view::npos ? arg : arg.substr(0, eq);
+    const std::string_view value = eq == std::string_view::npos ? "" : arg.substr(eq + 1);
+    if (key == "cycles" && eq != std::string_view::npos) {
+      cycles = kv::parse_int(key, value);
+    } else if (key == "runs" && eq != std::string_view::npos) {
+      runs = static_cast<int>(kv::parse_int(key, value));
+    } else {
+      std::cerr << "unknown argument '" << arg << "'; accepted: --out=<path> | cycles | runs\n";
+      return 1;
+    }
+  }
+  if (cycles < 1 || runs < 1) {
+    std::cerr << "cycles and runs must be >= 1\n";
+    return 1;
+  }
+
   print_section(std::cout,
                 "Sec. II-C — single-thread LTS efficiency vs the Eq. 9 model (trench mesh)");
   std::cout << "Paper: > 90% of the modelled speedup on production (2.5M element) meshes.\n"
                "Efficiency is halo-limited and grows with mesh size; the halo share column\n"
-               "is the model/actual element-applies ratio.\n\n";
+               "is the model/actual element-applies ratio, and the last column the cost of\n"
+               "one LTS element apply over one Newmark apply. Best of "
+            << runs << " runs of " << cycles << " LTS cycles per scheme.\n\n";
 
+  std::vector<perf::RunReport> reports;
   TextTable t({"n", "# elements", "model speedup", "model/actual work", "measured speedup",
-               "LTS efficiency"});
+               "LTS efficiency", "LTS/Newmark apply"});
   for (index_t n : {12, 16, 24, 32}) {
-    const Row r = run_case(n);
+    const Row r = run_case(n, cycles, runs, reports);
     t.row()
         .cell(static_cast<std::int64_t>(r.n))
         .cell(static_cast<std::int64_t>(r.elems))
         .cell(r.model_speedup, 2)
         .percent(100 * r.work_ratio, 0)
         .cell(r.measured_speedup, 2)
-        .percent(100 * r.measured_speedup / r.model_speedup, 0);
+        .percent(100 * r.measured_speedup / r.model_speedup, 0)
+        .cell(r.apply_ratio, 2);
   }
   t.print(std::cout);
 
   std::cout << "\nShape check vs paper: efficiency rises with mesh size towards the paper's\n"
                ">90% regime (their meshes are ~34x larger than our largest row).\n";
+  perf::write_json(reports, out_path);
+  std::cout << "\nwrote " << reports.size() << " run reports to " << out_path << "\n";
   return 0;
 }

@@ -120,6 +120,22 @@ std::vector<level_t> compute_node_levels(const sem::SemSpace& space,
   return node_level;
 }
 
+std::size_t row_count(const RowRuns& runs) noexcept {
+  std::size_t n = 0;
+  for (const RowRun& run : runs) n += static_cast<std::size_t>(run.end - run.begin);
+  return n;
+}
+
+std::ptrdiff_t row_position(const RowRuns& runs, gindex_t g) noexcept {
+  // The first run ending past g is the only one that can hold it.
+  const auto it = std::upper_bound(runs.begin(), runs.end(), g,
+                                   [](gindex_t x, const RowRun& run) { return x < run.end; });
+  if (it == runs.end() || g < it->begin) return -1;
+  std::ptrdiff_t pos = g - it->begin;
+  for (auto r = runs.begin(); r != it; ++r) pos += r->end - r->begin;
+  return pos;
+}
+
 std::int64_t LtsStructure::applies_per_cycle() const {
   std::int64_t sum = 0;
   for (level_t k = 1; k <= num_levels; ++k)
@@ -173,30 +189,24 @@ LtsStructure build_lts_structure(const sem::SemSpace& space, const LevelAssignme
     }
   }
 
-  // Row sets. eval_rows via scatter-dedup per level.
-  {
-    std::vector<level_t> last_mark(static_cast<std::size_t>(nn), 0);
-    for (level_t k = 1; k <= nl; ++k) {
-      auto& rows = s.eval_rows[static_cast<std::size_t>(k - 1)];
-      for (index_t e : s.eval_elems[static_cast<std::size_t>(k - 1)]) {
-        const gindex_t* l2g = space.elem_nodes(e);
-        for (int q = 0; q < npts; ++q) {
-          const gindex_t g = l2g[q];
-          if (last_mark[static_cast<std::size_t>(g)] != k) {
-            last_mark[static_cast<std::size_t>(g)] = k;
-            rows.push_back(g);
-          }
-        }
-      }
-      std::sort(rows.begin(), rows.end());
+  // Row sets, each built by one ascending scan over the nodes. A node is in
+  // eval_rows(k) when an E(k) element carries it (stamped with k).
+  std::vector<level_t> stamp(static_cast<std::size_t>(nn), 0);
+  for (level_t k = 1; k <= nl; ++k) {
+    for (index_t e : s.eval_elems[static_cast<std::size_t>(k - 1)]) {
+      const gindex_t* l2g = space.elem_nodes(e);
+      for (int q = 0; q < npts; ++q) stamp[static_cast<std::size_t>(l2g[q])] = k;
     }
+    auto& rows = s.eval_rows[static_cast<std::size_t>(k - 1)];
+    for (gindex_t g = 0; g < nn; ++g)
+      if (stamp[static_cast<std::size_t>(g)] == k) append_row(rows, g);
   }
 
   for (gindex_t g = 0; g < nn; ++g) {
     const level_t rho = s.node_rho[static_cast<std::size_t>(g)];
-    s.update_rows[static_cast<std::size_t>(rho - 1)].push_back(g);
+    append_row(s.update_rows[static_cast<std::size_t>(rho - 1)], g);
     // g belongs to R(k+1) (= recon rows of level k) for every k < rho.
-    for (level_t k = 1; k < rho; ++k) s.recon_rows[static_cast<std::size_t>(k - 1)].push_back(g);
+    for (level_t k = 1; k < rho; ++k) append_row(s.recon_rows[static_cast<std::size_t>(k - 1)], g);
   }
 
   return s;

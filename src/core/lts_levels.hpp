@@ -10,7 +10,9 @@
 ///      E(k)  = elements carrying at least one level-k node (own + halo),
 ///      rho_n = finest level whose evaluation touches node n,
 ///      S(k)  = nodes updated at level k's rate (rho_n == k).
+///    Every row set is stored as sorted runs of consecutive global node ids.
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -50,6 +52,41 @@ std::int64_t model_applies_per_cycle(const LevelAssignment& levels);
 std::vector<level_t> compute_node_levels(const sem::SemSpace& space,
                                          std::span<const level_t> elem_level);
 
+/// A half-open range [begin, end) of consecutive global rows.
+struct RowRun {
+  gindex_t begin = 0;
+  gindex_t end = 0;
+  bool operator==(const RowRun&) const = default;
+};
+
+/// A row set as its maximal runs: sorted, non-empty, never touching (each
+/// run ends strictly before the next begins). Per-row arrays that shadow a
+/// row set are indexed by position: the running row count over the runs.
+using RowRuns = std::vector<RowRun>;
+
+/// Appends row g, which must exceed every row already in `runs`.
+inline void append_row(RowRuns& runs, gindex_t g) {
+  if (!runs.empty() && runs.back().end == g)
+    ++runs.back().end;
+  else
+    runs.push_back({g, g + 1});
+}
+
+/// Number of rows in `runs`.
+[[nodiscard]] std::size_t row_count(const RowRuns& runs) noexcept;
+
+/// Position of row g in `runs` (rows before it), or -1 when g is absent.
+[[nodiscard]] std::ptrdiff_t row_position(const RowRuns& runs, gindex_t g) noexcept;
+
+/// Calls f(j, g) for every row g of `runs` in ascending order, j being its
+/// position.
+template <class F>
+void for_each_row(const RowRuns& runs, F&& f) {
+  std::size_t j = 0;
+  for (const RowRun& run : runs)
+    for (gindex_t g = run.begin; g < run.end; ++g) f(j++, g);
+}
+
 /// Evaluation/update sets for the production LTS solver.
 struct LtsStructure {
   level_t num_levels = 1;
@@ -58,13 +95,14 @@ struct LtsStructure {
 
   /// eval_elems[k-1] = E(k): elements with at least one level-k node.
   std::vector<std::vector<index_t>> eval_elems;
-  /// eval_rows[k-1]: unique global nodes of E(k) elements (rows written by the
-  /// level-k force evaluation).
-  std::vector<std::vector<gindex_t>> eval_rows;
+  /// eval_rows[k-1]: the nodes of E(k) elements (rows written by the level-k
+  /// force evaluation). Since rho_n >= k on them, eval_rows(k) is S(k) plus
+  /// its part of R(k+1), and eval_rows(N) == S(N).
+  std::vector<RowRuns> eval_rows;
   /// update_rows[k-1] = S(k): nodes with rho == k.
-  std::vector<std::vector<gindex_t>> update_rows;
+  std::vector<RowRuns> update_rows;
   /// recon_rows[k-1] = R(k+1): nodes with rho >= k+1 (empty for k == N).
-  std::vector<std::vector<gindex_t>> recon_rows;
+  std::vector<RowRuns> recon_rows;
 
   /// Actual element applies per cycle: sum_k p_k * |E(k)| (includes halo).
   [[nodiscard]] std::int64_t applies_per_cycle() const;

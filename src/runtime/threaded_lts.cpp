@@ -12,6 +12,46 @@
 
 namespace ltswave::runtime {
 
+namespace {
+
+/// a * b rounded on its own. Floating-point contraction may not fuse the
+/// product into the add it feeds, so a fused loop rounds it exactly as a
+/// separate pass that stored it would.
+inline real_t rounded_product(real_t a, real_t b) {
+#if defined(__has_builtin)
+#if __has_builtin(__builtin_assoc_barrier)
+  return __builtin_assoc_barrier(a * b);
+#endif
+#endif
+  return a * b;
+}
+
+/// Level k's fold of one row entry: the fresh force im * contrib replaces
+/// the frozen force f, and the cumulative sum moves by the change. Returns
+/// the new cumulative entry.
+inline real_t fold(real_t im, real_t contrib, real_t& f, real_t& cumulative) {
+  const real_t fresh = im * contrib;
+  cumulative += fresh - f;
+  f = fresh;
+  return cumulative;
+}
+
+/// Zeroes the rows `runs` of an ndof vector with nc components per row.
+void zero_rows(real_t* x, const core::RowRuns& runs, std::size_t nc) {
+  for (const auto& run : runs)
+    std::fill(x + static_cast<std::size_t>(run.begin) * nc, x + static_cast<std::size_t>(run.end) * nc,
+              real_t(0));
+}
+
+/// Copies the rows `runs` of an ndof vector into the compact array `dst`.
+void copy_rows(const real_t* x, const core::RowRuns& runs, std::size_t nc, real_t* dst) {
+  for (const auto& run : runs)
+    dst = std::copy(x + static_cast<std::size_t>(run.begin) * nc,
+                    x + static_cast<std::size_t>(run.end) * nc, dst);
+}
+
+} // namespace
+
 ThreadedLtsSolver::ThreadedLtsSolver(const sem::WaveOperator& op,
                                      const core::LevelAssignment& levels,
                                      const core::LtsStructure& structure,
@@ -24,20 +64,17 @@ ThreadedLtsSolver::ThreadedLtsSolver(const sem::WaveOperator& op,
       nranks_(part.num_parts),
       ncomp_(op.ncomp()),
       dt_(levels.dt),
-      fused_(levels.num_levels == 1 && part.num_parts == 1 &&
-             cfg.mode != SchedulerMode::LevelAwareSteal),
       inv_mass_(op.space().inv_mass()) {
   LTS_CHECK(part.part.size() == static_cast<std::size_t>(op.space().num_elems()));
   LTS_CHECK(nranks_ >= 1);
   const auto& space = op.space();
   ndof_ = static_cast<std::size_t>(space.num_global_nodes()) * static_cast<std::size_t>(ncomp_);
 
-  // state() hands u out by reference, so it is a plain vector; v and
-  // scratch are untouched allocations that first_touch_rank_buffers() has
-  // each pool worker zero on the rows it owns (see the file comment).
+  // state() hands u out by reference, so it is a plain vector; v is an
+  // untouched allocation that first_touch_rank_buffers() has each pool
+  // worker zero on the rows it updates (see the file comment).
   u_.assign(ndof_, 0.0);
   v_ = std::make_unique_for_overwrite<real_t[]>(ndof_);
-  scratch_ = std::make_unique_for_overwrite<real_t[]>(ndof_);
 
   build_rank_data();
   build_participation();
@@ -76,16 +113,10 @@ ThreadedLtsSolver::ThreadedLtsSolver(const sem::WaveOperator& op,
 }
 
 template <class F>
-void ThreadedLtsSolver::for_each_fold_row(const RankData& rd, std::size_t L, F&& f) const {
-  if (cfg_.mode == SchedulerMode::LevelAwareSteal) {
-    const auto& owned = rd.owned_rows[L];
-    for (std::size_t j = 0; j < owned.size(); ++j) f(j, owned[j]);
-    return;
-  }
-  const auto solo = rd.solo_rows[L].rows();
-  for (std::size_t j = 0; j < solo.size(); ++j) f(j, solo[j]);
-  const auto& shared = rd.shared_rows[L];
-  for (std::size_t s = 0; s < shared.size(); ++s) f(solo.size() + s, shared[s]);
+void ThreadedLtsSolver::for_each_fold_row(const RankData& rd, std::size_t L, F&& f) {
+  const std::size_t nfold = core::row_count(rd.fold_rows[L]);
+  core::for_each_row(rd.fold_rows[L], f);
+  core::for_each_row(rd.update_rows[L], [&](std::size_t j, gindex_t g) { f(nfold + j, g); });
 }
 
 void ThreadedLtsSolver::allocate_accumulators() {
@@ -100,43 +131,33 @@ void ThreadedLtsSolver::allocate_accumulators() {
     rd.forces.assign(nacc, {});
     for (std::size_t L = 0; L < nacc; ++L) {
       // Level k = L + 2 for vt, k = L + 1 for saved_u and forces.
-      rd.vt_update[L].assign(rd.update_rows[L + 1].size() * nc, 0.0);
-      rd.vt_recon[L].assign(rd.recon_rows[L + 1].size() * nc, 0.0);
-      rd.saved_u[L].assign(rd.recon_rows[L].size() * nc, 0.0);
-      std::size_t nfold = 0;
-      for_each_fold_row(rd, L, [&nfold](std::size_t, gindex_t) { ++nfold; });
-      rd.forces[L].assign(nfold * nc, 0.0);
+      rd.vt_update[L].assign(core::row_count(rd.update_rows[L + 1]) * nc, 0.0);
+      rd.vt_recon[L].assign(core::row_count(rd.recon_rows[L + 1]) * nc, 0.0);
+      rd.saved_u[L].assign(core::row_count(rd.recon_rows[L]) * nc, 0.0);
+      rd.forces[L].assign(
+          (core::row_count(rd.fold_rows[L]) + core::row_count(rd.update_rows[L])) * nc, 0.0);
     }
   }
 }
 
 void ThreadedLtsSolver::first_touch_rank_buffers() {
   const level_t nl = levels_->num_levels;
-  // A rank without peers outside steal mode accumulates into scratch_ and
-  // needs no private buffer (see acc_buffer).
-  const bool private_bufs = nranks_ > 1 || cfg_.mode == SchedulerMode::LevelAwareSteal;
-  const auto touch = [this, nl, private_bufs](int worker) {
+  const auto touch = [this, nl](int worker) {
     const auto r = static_cast<rank_t>(worker);
     auto& rd = ranks_[static_cast<std::size_t>(r)];
     // This rank's plan groups are contiguous: (r, 1) .. (r, nl).
     const index_t first = plan_->group_blocks(group_index(r, 1)).first;
     const index_t last = plan_->group_blocks(group_index(r, nl)).last;
     plan_->fill(first, last);
-    if (private_bufs) rd.private_buf.assign(ndof_, 0.0);
+    rd.private_buf.assign(ndof_, 0.0);
     rd.workspace = std::make_unique<sem::KernelWorkspace>(op_->make_workspace());
     const auto nc = static_cast<std::size_t>(ncomp_);
     for (auto& level_chunks : rd.chunks)
-      for (auto& ch : level_chunks) ch.acc.assign(ch.rows.size() * nc, 0.0);
-    // First touch of the shared v/scratch state: zero the rows this rank
-    // owns (every global node has an owner < nranks_, so together the workers
-    // initialize every entry — and each page lands on its updater's node).
-    for (std::size_t g = 0; g < row_owner_.size(); ++g) {
-      if (row_owner_[g] != r) continue;
-      for (std::size_t c = 0; c < nc; ++c) {
-        v_[g * nc + c] = 0.0;
-        scratch_[g * nc + c] = 0.0;
-      }
-    }
+      for (auto& ch : level_chunks) ch.acc.assign(core::row_count(ch.rows) * nc, 0.0);
+    // First touch of the shared v: zero the rows this rank updates. The S(k)
+    // partition the nodes, so together the workers initialize every entry,
+    // and each page lands on its updater's node.
+    for (const auto& rows : rd.update_rows) zero_rows(v_.get(), rows, nc);
   };
   if (pool_)
     pool_->run(touch);
@@ -149,33 +170,20 @@ void ThreadedLtsSolver::build_rank_data() {
   const auto& st = *structure_;
   const level_t nl = levels_->num_levels;
   const int npts = space.nodes_per_elem();
-  const gindex_t nn = space.num_global_nodes();
-  const auto nnodes = static_cast<std::size_t>(nn);
+  const auto nnodes = static_cast<std::size_t>(space.num_global_nodes());
   const bool steal = cfg_.mode == SchedulerMode::LevelAwareSteal;
-
-  // Global row owner: min rank among elements containing the node. Kept as a
-  // member — source/receiver registration resolves owning ranks through it.
-  row_owner_.assign(nnodes, nranks_);
-  for (index_t e = 0; e < space.num_elems(); ++e) {
-    const rank_t r = part_->part[static_cast<std::size_t>(e)];
-    const gindex_t* l2g = space.elem_nodes(e);
-    for (int q = 0; q < npts; ++q) {
-      auto& o = row_owner_[static_cast<std::size_t>(l2g[q])];
-      o = std::min(o, r);
-    }
-  }
 
   ranks_.resize(static_cast<std::size_t>(nranks_));
   for (auto& rd : ranks_) {
     rd.eval_elems.assign(static_cast<std::size_t>(nl), {});
     rd.private_rows.assign(static_cast<std::size_t>(nl), {});
-    rd.solo_rows.assign(static_cast<std::size_t>(nl), {});
+    rd.fold_rows.assign(static_cast<std::size_t>(nl), {});
+    rd.update_rows.assign(static_cast<std::size_t>(nl), {});
+    rd.recon_rows.assign(static_cast<std::size_t>(nl), {});
     rd.shared_rows.assign(static_cast<std::size_t>(nl), {});
     rd.shared_offsets.assign(static_cast<std::size_t>(nl), {});
     rd.shared_touchers.assign(static_cast<std::size_t>(nl), {});
     if (steal) rd.owned_rows.assign(static_cast<std::size_t>(nl), {});
-    rd.update_rows.assign(static_cast<std::size_t>(nl), {});
-    rd.recon_rows.assign(static_cast<std::size_t>(nl), {});
     rd.sources.assign(static_cast<std::size_t>(nl), {});
     rd.phase_seconds = std::vector<std::atomic<double>>(static_cast<std::size_t>(nl) + 5);
     rd.phase_count = std::vector<std::atomic<std::int64_t>>(static_cast<std::size_t>(nl) + 5);
@@ -183,27 +191,47 @@ void ThreadedLtsSolver::build_rank_data() {
     // by the owning pool worker (NUMA first touch).
   }
 
-  // The ranks touching each row of E(k), as a CSR (touch_off, touchers) built
-  // without sorting: a counting pass and a fill pass that both visit ranks in
-  // ascending order, with a per-row "last rank" stamp so each (row, rank)
-  // pair counts once. Every toucher list thereby comes out rank-sorted, its
-  // first entry being the row's owner (the minimum touching rank). A lone
-  // rank touches and owns every row, so its lists are the structure's own:
-  // it skips the census and the row-list copies it would build and free.
-  if (nranks_ == 1) {
-    auto& rd = ranks_[0];
-    for (std::size_t L = 0; L < static_cast<std::size_t>(nl); ++L) {
-      rd.eval_elems[L] = st.eval_elems[L];
-      rd.private_rows[L].view(st.eval_rows[L]);
-      rd.solo_rows[L].view(st.eval_rows[L]);
-      rd.update_rows[L].view(st.update_rows[L]);
-      rd.recon_rows[L].view(st.recon_rows[L]);
-      if (steal) rd.owned_rows[L] = st.eval_rows[L];
+  // Hands row g of eval_rows(k) to the ranks touching it at level k (in
+  // ascending order): every toucher zeroes it, and the first — the minimum —
+  // owns its reduction, its fold and, on S(k), its update. Rows arrive in
+  // ascending order, so every list grows by appending runs.
+  const auto place = [&](std::size_t L, gindex_t g, std::span<const rank_t> touchers) {
+    for (const rank_t t : touchers)
+      core::append_row(ranks_[static_cast<std::size_t>(t)].private_rows[L], g);
+    auto& rd = ranks_[static_cast<std::size_t>(touchers.front())];
+    const bool in_s = st.node_rho[static_cast<std::size_t>(g)] == static_cast<level_t>(L + 1);
+    core::append_row(in_s ? rd.update_rows[L] : rd.fold_rows[L], g);
+    if (steal) {
+      core::append_row(rd.owned_rows[L], g);
+    } else if (touchers.size() > 1) {
+      auto& offs = rd.shared_offsets[L];
+      auto& tchs = rd.shared_touchers[L];
+      if (offs.empty()) offs.push_back(0);
+      core::append_row(rd.shared_rows[L], g);
+      tchs.insert(tchs.end(), touchers.begin(), touchers.end());
+      offs.push_back(static_cast<index_t>(tchs.size()));
     }
+  };
+
+  // A lone rank touches and owns every row: it takes the structure's lists
+  // without the toucher census below.
+  if (nranks_ == 1) {
+    const rank_t only = 0;
+    for (std::size_t L = 0; L < static_cast<std::size_t>(nl); ++L) {
+      ranks_[0].eval_elems[L] = st.eval_elems[L];
+      core::for_each_row(st.eval_rows[L], [&](std::size_t, gindex_t g) { place(L, g, {&only, 1}); });
+    }
+    ranks_[0].recon_rows = st.recon_rows;
   } else {
+    // The ranks touching each row of E(k), as a CSR (touch_off, touchers)
+    // built without sorting: a counting pass and a fill pass that both visit
+    // ranks in ascending order, with a per-row "last rank" stamp so each
+    // (row, rank) pair counts once. Every toucher list thereby comes out
+    // rank-sorted, its first entry being the minimum touching rank.
     std::vector<rank_t> stamp(nnodes);
     std::vector<index_t> touch_off(nnodes + 1);
     std::vector<rank_t> touchers;
+    std::vector<rank_t> updater_of(nnodes); // per node: the rank updating it
     for (level_t k = 1; k <= nl; ++k) {
       const auto L = static_cast<std::size_t>(k - 1);
       // Split E(k) by element owner.
@@ -240,45 +268,16 @@ void ThreadedLtsSolver::build_rank_data() {
         const auto first = static_cast<std::size_t>(touch_off[g]);
         const auto last = static_cast<std::size_t>(touch_off[g + 1]);
         if (first == last) continue;
-        const auto row = static_cast<gindex_t>(g);
-        // Per-rank private rows (rows their own elements touch).
-        for (std::size_t t = first; t < last; ++t)
-          ranks_[static_cast<std::size_t>(touchers[t])].private_rows[L].push_back(row);
-        // Reduction ownership: the minimum touching rank owns the row at this
-        // level; rows with one toucher are copies, others sum a toucher list.
-        auto& rd = ranks_[static_cast<std::size_t>(touchers[first])];
-        if (last - first == 1) {
-          rd.solo_rows[L].push_back(row);
-        } else {
-          auto& offs = rd.shared_offsets[L];
-          auto& tchs = rd.shared_touchers[L];
-          if (offs.empty()) offs.push_back(0);
-          rd.shared_rows[L].push_back(row);
-          tchs.insert(tchs.end(), touchers.begin() + static_cast<std::ptrdiff_t>(first),
-                      touchers.begin() + static_cast<std::ptrdiff_t>(last));
-          offs.push_back(static_cast<index_t>(tchs.size()));
-        }
-        if (steal) rd.owned_rows[L].push_back(row);
-      }
-
-      // Row-update ownership uses the global row owner.
-      for (gindex_t g : st.update_rows[L])
-        ranks_[static_cast<std::size_t>(row_owner_[static_cast<std::size_t>(g)])]
-            .update_rows[L]
-            .push_back(g);
-      for (gindex_t g : st.recon_rows[L])
-        ranks_[static_cast<std::size_t>(row_owner_[static_cast<std::size_t>(g)])]
-            .recon_rows[L]
-            .push_back(g);
-      // Sealed level by level, so at most one level's copies of whole
-      // structure lists are ever alive at once.
-      for (auto& rd : ranks_) {
-        rd.private_rows[L].finish(st.eval_rows[L]);
-        rd.solo_rows[L].finish(st.eval_rows[L]);
-        rd.update_rows[L].finish(st.update_rows[L]);
-        rd.recon_rows[L].finish(st.recon_rows[L]);
+        place(L, static_cast<gindex_t>(g), std::span(touchers).subspan(first, last - first));
+        if (st.node_rho[g] == k) updater_of[g] = touchers[first];
       }
     }
+    // Row g's reconstructions at every level below rho run on its updater.
+    for (std::size_t g = 0; g < nnodes; ++g)
+      for (level_t k = 1; k < st.node_rho[g]; ++k)
+        core::append_row(ranks_[static_cast<std::size_t>(updater_of[g])]
+                             .recon_rows[static_cast<std::size_t>(k - 1)],
+                         static_cast<gindex_t>(g));
   }
 
   // The batched execution plan: one group per (rank, level) in that order —
@@ -315,19 +314,19 @@ void ThreadedLtsSolver::build_participation() {
 
   for (rank_t r = 0; r < nranks_; ++r) {
     const auto& rd = ranks_[static_cast<std::size_t>(r)];
-    // A rank takes part in level-k barriers when it has work at level k or at
-    // any finer level (monotone closure: fine substeps are nested inside
-    // coarse phases, and the row/force state written at level k is published
-    // to coarser readers through the enclosing coarser barrier — so finer
-    // ranks must join coarser barriers, never the other way around). The
-    // legacy barrier-all mode keeps everyone in every level.
+    // A rank takes part in level-k barriers when it evaluates elements at
+    // level k or at any finer level (monotone closure: fine substeps are
+    // nested inside coarse phases, and the row/force state written at level k
+    // is published to coarser readers through the enclosing coarser barrier —
+    // so finer ranks must join coarser barriers, never the other way around).
+    // Evaluation covers all row work: a rank owns level-k rows only where it
+    // touches them at level k, and reconstructs a row at level k only when it
+    // updates that row at a finer level. The legacy barrier-all mode keeps
+    // everyone in every level.
     bool finer = false;
     for (level_t k = nl; k >= 1; --k) {
       const auto L = static_cast<std::size_t>(k - 1);
-      const bool work = !rd.eval_elems[L].empty() || !rd.private_rows[L].empty() ||
-                        !rd.solo_rows[L].empty() || !rd.shared_rows[L].empty() ||
-                        !rd.update_rows[L].empty() || !rd.recon_rows[L].empty();
-      finer = finer || work;
+      finer = finer || !rd.eval_elems[L].empty();
       const bool take_part = cfg_.mode == SchedulerMode::BarrierAll || finer;
       part_mask_[L * static_cast<std::size_t>(nranks_) + static_cast<std::size_t>(r)] =
           take_part ? 1 : 0;
@@ -343,6 +342,7 @@ void ThreadedLtsSolver::build_chunks() {
   const level_t nl = levels_->num_levels;
   const int npts = space.nodes_per_elem();
   const int W = plan_->width();
+  std::vector<gindex_t> rows; // one chunk's rows, sorted and deduplicated
 
   for (rank_t r = 0; r < nranks_; ++r) {
     auto& rd = ranks_[static_cast<std::size_t>(r)];
@@ -375,16 +375,18 @@ void ThreadedLtsSolver::build_chunks() {
         Chunk ch;
         ch.first_block = b;
         ch.last_block = std::min<index_t>(b + size_blocks, range.last);
+        rows.clear();
         for (index_t blk = ch.first_block; blk < ch.last_block; ++blk) {
           const index_t* elems = plan_->block_elems(blk);
           const int fill = plan_->block_fill(blk);
           for (int l = 0; l < fill; ++l) {
             const gindex_t* l2g = space.elem_nodes(elems[l]);
-            for (int q = 0; q < npts; ++q) ch.rows.push_back(l2g[q]);
+            rows.insert(rows.end(), l2g, l2g + npts);
           }
         }
-        std::sort(ch.rows.begin(), ch.rows.end());
-        ch.rows.erase(std::unique(ch.rows.begin(), ch.rows.end()), ch.rows.end());
+        std::sort(rows.begin(), rows.end());
+        rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+        for (const gindex_t g : rows) core::append_row(ch.rows, g);
         // ch.acc is allocated by the owning pool worker (first touch).
         rd.chunks[L].push_back(std::move(ch));
       }
@@ -416,30 +418,29 @@ void ThreadedLtsSolver::build_steal_reduction() {
     // Reset per level: a stale entry from a coarser level would satisfy the
     // ownership check below and silently misroute a contribution.
     std::fill(owner_of.begin(), owner_of.end(), rank_t{-1});
-    for (rank_t r = 0; r < nranks_; ++r) {
-      const auto& owned = ranks_[static_cast<std::size_t>(r)].owned_rows[L];
-      for (std::size_t j = 0; j < owned.size(); ++j) {
-        owner_of[static_cast<std::size_t>(owned[j])] = r;
-        pos_of[static_cast<std::size_t>(owned[j])] = static_cast<index_t>(j);
-      }
-    }
+    for (rank_t r = 0; r < nranks_; ++r)
+      core::for_each_row(ranks_[static_cast<std::size_t>(r)].owned_rows[L],
+                         [&](std::size_t j, gindex_t g) {
+                           owner_of[static_cast<std::size_t>(g)] = r;
+                           pos_of[static_cast<std::size_t>(g)] = static_cast<index_t>(j);
+                         });
     std::vector<std::vector<std::pair<index_t, const real_t*>>> contribs(
         static_cast<std::size_t>(nranks_));
     for (rank_t r = 0; r < nranks_; ++r)
       for (const auto& ch : ranks_[static_cast<std::size_t>(r)].chunks[L])
-        for (std::size_t i = 0; i < ch.rows.size(); ++i) {
-          const auto g = static_cast<std::size_t>(ch.rows[i]);
+        core::for_each_row(ch.rows, [&](std::size_t i, gindex_t row) {
+          const auto g = static_cast<std::size_t>(row);
           LTS_CHECK(owner_of[g] >= 0);
           contribs[static_cast<std::size_t>(owner_of[g])].emplace_back(pos_of[g],
                                                                        ch.acc.data() + i * nc);
-        }
+        });
     for (rank_t r = 0; r < nranks_; ++r) {
       auto& rd = ranks_[static_cast<std::size_t>(r)];
       auto& list = contribs[static_cast<std::size_t>(r)];
       // stable: contributions for one row keep their (rank, chunk) order.
       std::stable_sort(list.begin(), list.end(),
                        [](const auto& a, const auto& b) { return a.first < b.first; });
-      const std::size_t nrows = rd.owned_rows[L].size();
+      const std::size_t nrows = core::row_count(rd.owned_rows[L]);
       rd.red_offsets[L].assign(nrows + 1, 0);
       rd.red_sources[L].reserve(list.size());
       std::size_t li = 0;
@@ -543,17 +544,22 @@ void ThreadedLtsSolver::add_source(const sem::PointSource& src) {
   LTS_CHECK(src.node >= 0 && src.node < op_->space().num_global_nodes());
   sources_.push_back(src);
   const level_t rho = structure_->node_rho[static_cast<std::size_t>(src.node)];
-  auto& rd = ranks_[static_cast<std::size_t>(row_owner_[static_cast<std::size_t>(src.node)])];
+  auto& rd = ranks_[static_cast<std::size_t>(updater(src.node))];
   // Level 1 kicks v_ at the node; a finer level kicks its compact vt, whose
-  // rows are the owner's S(rho) — the source node is one by construction.
+  // rows are the updater's S(rho) — the source node is one by construction.
   std::size_t slot = static_cast<std::size_t>(src.node);
-  if (rho > 1) {
-    const auto rows = rd.update_rows[static_cast<std::size_t>(rho - 1)].rows();
-    const auto it = std::find(rows.begin(), rows.end(), src.node);
-    LTS_CHECK(it != rows.end());
-    slot = static_cast<std::size_t>(it - rows.begin());
-  }
+  if (rho > 1)
+    slot = static_cast<std::size_t>(
+        core::row_position(rd.update_rows[static_cast<std::size_t>(rho - 1)], src.node));
   rd.sources[static_cast<std::size_t>(rho - 1)].push_back({src, slot});
+}
+
+rank_t ThreadedLtsSolver::updater(gindex_t g) const {
+  const auto L = static_cast<std::size_t>(structure_->node_rho[static_cast<std::size_t>(g)] - 1);
+  for (rank_t r = 0; r < nranks_; ++r)
+    if (core::row_position(ranks_[static_cast<std::size_t>(r)].update_rows[L], g) >= 0) return r;
+  LTS_CHECK_MSG(false, "row " << g << " has no updater"); // the S(k) partition the nodes
+  return 0;
 }
 
 std::size_t ThreadedLtsSolver::add_receiver(gindex_t node, int component) {
@@ -561,8 +567,7 @@ std::size_t ThreadedLtsSolver::add_receiver(gindex_t node, int component) {
   LTS_CHECK(component >= 0 && component < ncomp_);
   const std::size_t idx = traces_.size();
   traces_.push_back(Trace{node, component, {}, {}});
-  const rank_t owner = row_owner_[static_cast<std::size_t>(node)];
-  ranks_[static_cast<std::size_t>(owner)].receivers.push_back(idx);
+  ranks_[static_cast<std::size_t>(updater(node))].receivers.push_back(idx);
   return idx;
 }
 
@@ -574,7 +579,6 @@ void ThreadedLtsSolver::adopt_state_from(const ThreadedLtsSolver& prev) {
                 "adopt_state_from expects a freshly built solver");
   std::copy(prev.u_.begin(), prev.u_.end(), u_.begin());
   std::copy(prev.v_.get(), prev.v_.get() + ndof_, v_.get());
-  std::copy(prev.scratch_.get(), prev.scratch_.get() + ndof_, scratch_.get());
   // The frozen forces live on prev's fold rows, which its partition chose;
   // the full-size export is the partition-independent hand-off. The substep
   // velocities and saved displacements need no copy: every cycle writes them
@@ -592,19 +596,20 @@ void ThreadedLtsSolver::adopt_state_from(const ThreadedLtsSolver& prev) {
 void ThreadedLtsSolver::set_state(std::span<const real_t> u0, std::span<const real_t> v0) {
   LTS_CHECK(u0.size() == ndof_ && v0.size() == ndof_);
   std::copy(u0.begin(), u0.end(), u_.begin());
-  std::fill(scratch_.get(), scratch_.get() + ndof_, 0.0);
   // K u through the solver's own plan: its (rank, level) groups cover E(k)
   // per level with the level-k column mask, and sum_k P_k = I, so all of
   // them together apply K u. The operator's full_plan() would pin a second
-  // full-mesh metric copy for this one apply. The workspace is rank 0's.
-  op_->apply_add_blocks(*plan_, 0, plan_->num_blocks(), u_.data(), scratch_.get(),
-                        *ranks_[0].workspace);
+  // full-mesh metric copy for this one apply. The accumulation buffer and
+  // workspace are rank 0's; every eval phase zeroes the rows it uses.
+  real_t* ku = ranks_[0].private_buf.data();
+  std::fill(ku, ku + ndof_, 0.0);
+  op_->apply_add_blocks(*plan_, 0, plan_->num_blocks(), u_.data(), ku, *ranks_[0].workspace);
   const std::size_t nc = static_cast<std::size_t>(ncomp_);
   if (sources_.empty()) {
     for (std::size_t g = 0; g < inv_mass_.size(); ++g) {
       const real_t im = inv_mass_[g];
       for (std::size_t c = 0; c < nc; ++c)
-        v_[g * nc + c] = v0[g * nc + c] + 0.5 * dt_ * im * scratch_[g * nc + c];
+        v_[g * nc + c] = v0[g * nc + c] + 0.5 * dt_ * im * ku[g * nc + c];
     }
   } else {
     // v^{-1/2} = v(0) - dt/2 * Minv (f(0) - K u0).
@@ -613,10 +618,9 @@ void ThreadedLtsSolver::set_state(std::span<const real_t> u0, std::span<const re
     for (std::size_t g = 0; g < inv_mass_.size(); ++g) {
       const real_t im = inv_mass_[g];
       for (std::size_t c = 0; c < nc; ++c)
-        v_[g * nc + c] = v0[g * nc + c] - 0.5 * dt_ * im * (f[g * nc + c] - scratch_[g * nc + c]);
+        v_[g * nc + c] = v0[g * nc + c] - 0.5 * dt_ * im * (f[g * nc + c] - ku[g * nc + c]);
     }
   }
-  std::fill(scratch_.get(), scratch_.get() + ndof_, 0.0);
   zero_forces();
   for (auto& t : traces_) {
     t.times.clear();
@@ -640,7 +644,6 @@ void ThreadedLtsSolver::adopt_raw_state(std::span<const real_t> u, std::span<con
   // subtract the *exact* product instead of the rounded one.
   const real_t elapsed = static_cast<real_t>(cycles_done) * dt_;
   time_offset_ = (time == elapsed) ? real_t(0) : time - elapsed;
-  std::fill(scratch_.get(), scratch_.get() + ndof_, 0.0);
   // The substep velocities and saved displacements are not reset: every
   // cycle writes them before it reads them.
   zero_forces();
@@ -702,15 +705,10 @@ void ThreadedLtsSolver::run_chunk(RankData& self, Chunk& chunk) {
   // whole plan blocks, so the batched kernel runs unsplit.
   const auto nc = static_cast<std::size_t>(ncomp_);
   real_t* buf = self.private_buf.data();
-  for (const gindex_t g : chunk.rows)
-    for (std::size_t c = 0; c < nc; ++c) buf[static_cast<std::size_t>(g) * nc + c] = 0.0;
+  zero_rows(buf, chunk.rows, nc);
   op_->apply_add_blocks(*plan_, chunk.first_block, chunk.last_block, u_.data(), buf,
                         *self.workspace);
-  real_t* acc = chunk.acc.data();
-  for (std::size_t i = 0; i < chunk.rows.size(); ++i) {
-    const std::size_t base = static_cast<std::size_t>(chunk.rows[i]) * nc;
-    for (std::size_t c = 0; c < nc; ++c) acc[i * nc + c] = buf[base + c];
-  }
+  copy_rows(buf, chunk.rows, nc, chunk.acc.data());
 }
 
 void ThreadedLtsSolver::eval_phase(rank_t r, level_t k) {
@@ -745,101 +743,76 @@ void ThreadedLtsSolver::eval_phase(rank_t r, level_t k) {
       }
     }
   } else {
-    // Private batched accumulation of this rank's share of E(k). The fused
-    // one-level rank touches every row, so it zeroes scratch_ in one fill.
-    real_t* buf = acc_buffer(rd);
-    if (fused_)
-      std::fill(buf, buf + ndof_, 0.0);
-    else
-      for (gindex_t g : rd.private_rows[L])
-        for (int c = 0; c < ncomp_; ++c)
-          buf[static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c)] = 0.0;
+    // Private batched accumulation of this rank's share of E(k).
+    zero_rows(rd.private_buf.data(), rd.private_rows[L], static_cast<std::size_t>(ncomp_));
     const auto range = plan_->group_blocks(group_index(r, k));
-    op_->apply_add_blocks(*plan_, range.first, range.last, u_.data(), buf, *rd.workspace);
+    op_->apply_add_blocks(*plan_, range.first, range.last, u_.data(), rd.private_buf.data(),
+                          *rd.workspace);
   }
-  {
-    const double s = timer.seconds();
-    busy_[static_cast<std::size_t>(r)].fetch_add(s, std::memory_order_relaxed);
-    tally(rd, slot_eval(k), s);
-  }
+  charge(r, slot_eval(k), timer.seconds());
 
   sync(r, k); // all private contributions complete
-  // The fused one-level update scales K u by Minv itself (thread_main).
-  if (fused_) return;
 
-  // Reduction (the "MPI exchange"): owners combine contributions, scale by
-  // Minv, and refresh the frozen-force accumulators. Only the deepest level
-  // (and a single-level run) reads the fresh force back from scratch_; the
-  // coarser levels read cumulative_.
+  // Reduction (the "MPI exchange"): the owner sums each row several buffers
+  // contribute to, in the fixed order, into its own buffer — afterwards that
+  // buffer holds the level-k contribution of every row the rank owns. Then
+  // the rows the child levels read, eval_rows(k) ∩ R(k+1), are folded; the
+  // S(k) rows are folded by the level-k update (see the file comment). The
+  // caller's next barrier publishes the folds. A lone rank at the deepest
+  // level has nothing to do here.
+  if (rd.fold_rows[L].empty() && (steal ? rd.owned_rows : rd.shared_rows)[L].empty()) return;
   const WallTimer timer2;
   const auto nc = static_cast<std::size_t>(ncomp_);
-  // j is the row's position in fold order (for_each_fold_row), which indexes
-  // the rank's compact level-k force array.
-  real_t* fk = k < levels_->num_levels ? rd.forces[L].data() : nullptr;
-  auto fold = [&](std::size_t j, gindex_t g, real_t contrib, std::size_t c) {
-    const std::size_t i = static_cast<std::size_t>(g) * nc + c;
-    const real_t fresh = inv_mass_[static_cast<std::size_t>(g)] * contrib;
-    if (fk) {
-      real_t& f = fk[j * nc + c];
-      cumulative_[i] += fresh - f;
-      f = fresh;
-    } else {
-      scratch_[i] = fresh;
-    }
+  real_t* buf = rd.private_buf.data();
+  const auto gather = [&](const core::RowRuns& rows, const std::vector<index_t>& offs,
+                          auto&& entry) {
+    core::for_each_row(rows, [&](std::size_t j, gindex_t g) {
+      const std::size_t base = static_cast<std::size_t>(g) * nc;
+      for (std::size_t c = 0; c < nc; ++c) {
+        real_t sum = 0;
+        for (index_t s = offs[j]; s < offs[j + 1]; ++s) sum += entry(s, base)[c];
+        buf[base + c] = sum;
+      }
+    });
   };
   if (steal) {
     // Owners walk the static chunk-contribution lists built alongside the
     // chunks: each owned row sums its touching chunks' acc entries in the
     // fixed (rank, chunk) order, independent of which thread ran each chunk.
-    const auto& owned = rd.owned_rows[L];
-    const auto& offs = rd.red_offsets[L];
     const auto& srcs = rd.red_sources[L];
-    for (std::size_t j = 0; j < owned.size(); ++j) {
-      const gindex_t g = owned[j];
-      for (std::size_t c = 0; c < nc; ++c) {
-        real_t sum = 0;
-        for (index_t s = offs[j]; s < offs[j + 1]; ++s)
-          sum += srcs[static_cast<std::size_t>(s)][c];
-        fold(j, g, sum, c);
-      }
-    }
+    gather(rd.owned_rows[L], rd.red_offsets[L],
+           [&](index_t s, std::size_t) { return srcs[static_cast<std::size_t>(s)]; });
   } else {
-    const real_t* buf = acc_buffer(rd);
-    const auto solo = rd.solo_rows[L].rows();
-    for (std::size_t j = 0; j < solo.size(); ++j)
-      for (std::size_t c = 0; c < nc; ++c)
-        fold(j, solo[j], buf[static_cast<std::size_t>(solo[j]) * nc + c], c);
-    const auto& srows = rd.shared_rows[L];
-    const auto& soffs = rd.shared_offsets[L];
     const auto& stch = rd.shared_touchers[L];
-    for (std::size_t s = 0; s < srows.size(); ++s) {
-      const gindex_t g = srows[s];
+    gather(rd.shared_rows[L], rd.shared_offsets[L], [&](index_t s, std::size_t base) {
+      return ranks_[static_cast<std::size_t>(stch[static_cast<std::size_t>(s)])].private_buf.data() +
+             base;
+    });
+  }
+  if (!rd.fold_rows[L].empty()) { // only below the deepest level
+    real_t* fk = rd.forces[L].data();
+    core::for_each_row(rd.fold_rows[L], [&](std::size_t j, gindex_t g) {
+      const real_t im = inv_mass_[static_cast<std::size_t>(g)];
       for (std::size_t c = 0; c < nc; ++c) {
-        real_t sum = 0;
-        for (index_t t = soffs[s]; t < soffs[s + 1]; ++t)
-          sum += ranks_[static_cast<std::size_t>(stch[static_cast<std::size_t>(t)])]
-                     .private_buf[static_cast<std::size_t>(g) * nc + c];
-        fold(solo.size() + s, g, sum, c);
+        const std::size_t i = static_cast<std::size_t>(g) * nc + c;
+        fold(im, buf[i], fk[j * nc + c], cumulative_[i]);
       }
-    }
+    });
   }
-  {
-    const double s = timer2.seconds();
-    busy_[static_cast<std::size_t>(r)].fetch_add(s, std::memory_order_relaxed);
-    tally(rd, slot_reduce(), s);
-  }
-
-  sync(r, k); // scratch/cumulative consistent before row updates
+  charge(r, slot_reduce(), timer2.seconds());
 }
 
-void ThreadedLtsSolver::apply_rank_sources(const RankData& rd, level_t k, real_t t_src,
-                                           real_t kick, real_t drift, real_t* vel) {
+double ThreadedLtsSolver::apply_rank_sources(RankData& rd, level_t k, real_t t_src, real_t kick,
+                                             real_t drift, real_t* vel) {
   // Post-correction of an update that ran without sources: the updates are
   // linear in F, so adding the source term S afterwards equals folding it
   // into F up to a last-ulp reassociation. S = -Minv f(t), so that
   // v -= kick * F realizes v += kick * Minv f.
+  const auto& sources = rd.sources[static_cast<std::size_t>(k - 1)];
+  if (sources.empty()) return 0;
+  const WallTimer timer;
   const auto nc = static_cast<std::size_t>(ncomp_);
-  for (const auto& [s, slot] : rd.sources[static_cast<std::size_t>(k - 1)]) {
+  for (const auto& [s, slot] : sources) {
     const real_t val = s.amplitude * s.wavelet(t_src);
     const real_t im = inv_mass_[static_cast<std::size_t>(s.node)];
     for (std::size_t c = 0; c < nc; ++c) {
@@ -849,15 +822,23 @@ void ThreadedLtsSolver::apply_rank_sources(const RankData& rd, level_t k, real_t
       u_[static_cast<std::size_t>(s.node) * nc + c] += drift * dv;
     }
   }
+  const double seconds = timer.seconds();
+  tally(rd, slot_sources(), seconds);
+  return seconds;
 }
 
-void ThreadedLtsSolver::sample_receivers(const RankData& rd, real_t t) {
+double ThreadedLtsSolver::sample_receivers(RankData& rd, real_t t) {
+  if (rd.receivers.empty()) return 0;
+  const WallTimer timer;
   for (std::size_t idx : rd.receivers) {
     auto& tr = traces_[idx];
     tr.times.push_back(t);
     tr.values.push_back(u_[static_cast<std::size_t>(tr.node) * static_cast<std::size_t>(ncomp_) +
                            static_cast<std::size_t>(tr.component)]);
   }
+  const double seconds = timer.seconds();
+  tally(rd, slot_receivers(), seconds);
+  return seconds;
 }
 
 void ThreadedLtsSolver::run_level(rank_t r, level_t k, real_t t0) {
@@ -869,43 +850,38 @@ void ThreadedLtsSolver::run_level(rank_t r, level_t k, real_t t0) {
   // Level k's substep velocity on S(k) and, below the deepest level, on
   // R(k+1), plus the displacement saved for its reconstruction — all
   // compact over the rank's row lists.
-  const auto upd = rd.update_rows[L].rows();
+  const auto& upd = rd.update_rows[L];
   real_t* vt_upd = rd.vt_update[L - 1].data();
+  const real_t* buf = rd.private_buf.data();
   const bool in = participates(r, k);
-  const bool has_sources = in && !rd.sources[L].empty();
 
   for (int m = 0; m < 2; ++m) {
     const bool first = (m == 0);
     if (k == nl) {
       // The deepest level's substep pair: kick delta/2 then delta (the
-      // staggered start), drift delta on both.
+      // staggered start), drift delta on both. Its rows are S(N), so the
+      // update reads the fresh force straight from the summed contribution.
       const real_t kick = first ? real_t(0.5) * delta : delta;
       eval_phase(r, k);
       if (in) {
         const WallTimer timer;
-        for (std::size_t j = 0; j < upd.size(); ++j)
+        core::for_each_row(upd, [&](std::size_t j, gindex_t g) {
+          const real_t im = inv_mass_[static_cast<std::size_t>(g)];
           for (std::size_t c = 0; c < nc; ++c) {
-            const std::size_t i = static_cast<std::size_t>(upd[j]) * nc + c;
+            const std::size_t i = static_cast<std::size_t>(g) * nc + c;
             real_t& w = vt_upd[j * nc + c];
-            const real_t F = cumulative_[i] + scratch_[i];
+            const real_t F = cumulative_[i] + rounded_product(im, buf[i]);
             if (first)
               w = -kick * F;
             else
               w -= kick * F;
             u_[i] += delta * w;
           }
+        });
         // Sources are sampled frozen at the cycle start (the midpoint rule;
         // see the file comment).
-        double t_src = 0;
-        if (has_sources) {
-          const WallTimer src_timer;
-          apply_rank_sources(rd, k, t0, kick, delta, vt_upd);
-          t_src = src_timer.seconds();
-          tally(rd, slot_sources(), t_src);
-        }
-        const double s = timer.seconds();
-        busy_[static_cast<std::size_t>(r)].fetch_add(s, std::memory_order_relaxed);
-        tally(rd, slot_update(), s - t_src);
+        const double t_src = apply_rank_sources(rd, k, t0, kick, delta, vt_upd);
+        charge(r, slot_update(), timer.seconds(), t_src);
       }
       // m == 0: updates visible before the next eval gathers u. m == 1: the
       // caller's post-child barrier publishes instead.
@@ -913,29 +889,25 @@ void ThreadedLtsSolver::run_level(rank_t r, level_t k, real_t t0) {
       continue;
     }
 
-    const auto rec = rd.recon_rows[L].rows();
+    const auto& rec = rd.recon_rows[L];
     real_t* vt_rec = rd.vt_recon[L - 1].data();
     real_t* save = rd.saved_u[L].data();
     eval_phase(r, k);
     if (in) {
       const WallTimer timer;
-      for (std::size_t j = 0; j < rec.size(); ++j)
-        for (std::size_t c = 0; c < nc; ++c)
-          save[j * nc + c] = u_[static_cast<std::size_t>(rec[j]) * nc + c];
-      const double s = timer.seconds();
-      busy_[static_cast<std::size_t>(r)].fetch_add(s, std::memory_order_relaxed);
-      tally(rd, slot_update(), s);
+      copy_rows(u_.data(), rec, nc, save);
+      charge(r, slot_update(), timer.seconds());
     }
-    sync(r, k); // saves done before the child mutates u
+    sync(r, k); // folds and saves done before the child reads them or mutates u
 
     run_level(r, k + 1, t0);
     sync(r, k); // child updates visible before reconstruction reads u
 
     if (in) {
       const WallTimer timer2;
-      for (std::size_t j = 0; j < rec.size(); ++j)
+      core::for_each_row(rec, [&](std::size_t j, gindex_t g) {
         for (std::size_t c = 0; c < nc; ++c) {
-          const std::size_t i = static_cast<std::size_t>(rec[j]) * nc + c;
+          const std::size_t i = static_cast<std::size_t>(g) * nc + c;
           const real_t saved = save[j * nc + c];
           real_t& w = vt_rec[j * nc + c];
           if (first)
@@ -944,27 +916,25 @@ void ThreadedLtsSolver::run_level(rank_t r, level_t k, real_t t0) {
             w += 2.0 * (u_[i] - saved) / delta;
           u_[i] = saved + delta * w;
         }
-      for (std::size_t j = 0; j < upd.size(); ++j)
+      });
+      // S(k) rows: the level-k fold, then the collapsed leapfrog step.
+      real_t* fk = rd.forces[L].data() + core::row_count(rd.fold_rows[L]) * nc;
+      core::for_each_row(upd, [&](std::size_t j, gindex_t g) {
+        const real_t im = inv_mass_[static_cast<std::size_t>(g)];
         for (std::size_t c = 0; c < nc; ++c) {
-          const std::size_t i = static_cast<std::size_t>(upd[j]) * nc + c;
+          const std::size_t i = static_cast<std::size_t>(g) * nc + c;
           real_t& w = vt_upd[j * nc + c];
-          const real_t F = cumulative_[i];
+          const real_t F = fold(im, buf[i], fk[j * nc + c], cumulative_[i]);
           if (first)
             w = -0.5 * delta * F;
           else
             w -= delta * F;
           u_[i] += delta * w;
         }
-      double t_src = 0;
-      if (has_sources) {
-        const WallTimer src_timer;
-        apply_rank_sources(rd, k, t0, first ? real_t(0.5) * delta : delta, delta, vt_upd);
-        t_src = src_timer.seconds();
-        tally(rd, slot_sources(), t_src);
-      }
-      const double s = timer2.seconds();
-      busy_[static_cast<std::size_t>(r)].fetch_add(s, std::memory_order_relaxed);
-      tally(rd, slot_update(), s - t_src);
+      });
+      const double t_src =
+          apply_rank_sources(rd, k, t0, first ? real_t(0.5) * delta : delta, delta, vt_upd);
+      charge(r, slot_update(), timer2.seconds(), t_src);
     }
     if (first) sync(r, k); // level-k updates visible before the next eval
   }
@@ -974,16 +944,16 @@ void ThreadedLtsSolver::thread_main(rank_t r, std::int64_t cycles) {
   const level_t nl = levels_->num_levels;
   auto& rd = ranks_[static_cast<std::size_t>(r)];
   const bool in = participates(r, 1);
-  const bool has_sources = in && !rd.sources[0].empty();
 
-  // The force of the physical level-1 step on S(1): a single level's fresh
-  // evaluation, else the frozen sum of every level's force.
-  const real_t* force1 = nl > 1 ? cumulative_.data() : scratch_.get();
   // The level-1 reconstruction rows R(2) and their saved displacements; a
   // single level has none, so the loops over rec below never run.
   const auto nc = static_cast<std::size_t>(ncomp_);
-  const auto rec = rd.recon_rows[0].rows();
+  const auto& rec = rd.recon_rows[0];
+  const auto& upd = rd.update_rows[0];
   real_t* save = nl > 1 ? rd.saved_u[0].data() : nullptr;
+  // Level 1's frozen force on S(1), behind its fold rows (multi-level only).
+  real_t* f1 = nl > 1 ? rd.forces[0].data() + core::row_count(rd.fold_rows[0]) * nc : nullptr;
+  const real_t* buf = rd.private_buf.data();
 
   for (std::int64_t cyc = 0; cyc < cycles; ++cyc) {
     // Cycle start time from the integer cycle counter: identical however the
@@ -994,14 +964,10 @@ void ThreadedLtsSolver::thread_main(rank_t r, std::int64_t cycles) {
     if (nl > 1) {
       if (in) {
         const WallTimer timer;
-        for (std::size_t j = 0; j < rec.size(); ++j)
-          for (std::size_t c = 0; c < nc; ++c)
-            save[j * nc + c] = u_[static_cast<std::size_t>(rec[j]) * nc + c];
-        const double s = timer.seconds();
-        busy_[static_cast<std::size_t>(r)].fetch_add(s, std::memory_order_relaxed);
-        tally(rd, slot_update(), s);
+        copy_rows(u_.data(), rec, nc, save);
+        charge(r, slot_update(), timer.seconds());
       }
-      sync(r, 1); // saves done before the child mutates u
+      sync(r, 1); // folds and saves done before the child reads them or mutates u
 
       run_level(r, 2, t0);
       sync(r, 1); // child updates visible before reconstruction reads u
@@ -1009,53 +975,43 @@ void ThreadedLtsSolver::thread_main(rank_t r, std::int64_t cycles) {
 
     if (in) {
       const WallTimer timer2;
-      for (std::size_t j = 0; j < rec.size(); ++j)
+      core::for_each_row(rec, [&](std::size_t j, gindex_t g) {
         for (std::size_t c = 0; c < nc; ++c) {
-          const std::size_t i = static_cast<std::size_t>(rec[j]) * nc + c;
+          const std::size_t i = static_cast<std::size_t>(g) * nc + c;
           const real_t saved = save[j * nc + c];
           v_[i] += 2.0 * (u_[i] - saved) / dt_;
           u_[i] = saved + dt_ * v_[i];
         }
-      if (fused_) {
-        // S(1) is every row and scratch_ holds K u unscaled: the Minv fold
-        // and the leapfrog step run as one contiguous pass, with the fold's
-        // own product, so the result is bitwise the unfused one.
-        for (std::size_t g = 0; g < inv_mass_.size(); ++g)
-          for (std::size_t c = 0; c < nc; ++c) {
-            const std::size_t i = g * nc + c;
-            v_[i] -= dt_ * (inv_mass_[g] * scratch_[i]);
-            u_[i] += dt_ * v_[i];
-          }
-      } else {
-        for (gindex_t g : rd.update_rows[0])
+      });
+      // The physical leapfrog step of S(1): a single level's force is the
+      // fresh Minv K u; on several levels the level-1 fold first refreshes
+      // the frozen sum of every level's force.
+      const auto leapfrog = [&](auto&& force) {
+        core::for_each_row(upd, [&](std::size_t j, gindex_t g) {
+          const real_t im = inv_mass_[static_cast<std::size_t>(g)];
           for (std::size_t c = 0; c < nc; ++c) {
             const std::size_t i = static_cast<std::size_t>(g) * nc + c;
-            v_[i] -= dt_ * force1[i];
+            v_[i] -= dt_ * force(im, i, j * nc + c);
             u_[i] += dt_ * v_[i];
           }
-      }
+        });
+      };
+      if (f1)
+        leapfrog([&](real_t im, std::size_t i, std::size_t p) {
+          return fold(im, buf[i], f1[p], cumulative_[i]);
+        });
+      else
+        leapfrog([&](real_t im, std::size_t i, std::size_t) { return im * buf[i]; });
       // Level-1 rows take the cycle-frozen source in the physical leapfrog
       // step of S(1), after the fine recursion.
-      double t_src = 0, t_recv = 0;
-      if (has_sources) {
-        const WallTimer src_timer;
-        apply_rank_sources(rd, 1, t0, dt_, dt_, v_.get());
-        t_src = src_timer.seconds();
-        tally(rd, slot_sources(), t_src);
-      }
-      // Every row this rank owns is final for the cycle (recon ∪ update
+      const double t_src = apply_rank_sources(rd, 1, t0, dt_, dt_, v_.get());
+      // Every row this rank updates is final for the cycle (recon ∪ update
       // covers them all) and only this rank ever writes those rows, so
       // sampling here is race-free.
-      if (!rd.receivers.empty()) {
-        const WallTimer recv_timer;
-        sample_receivers(rd, time_offset_ + static_cast<real_t>(cycles_done_ + cyc + 1) * dt_);
-        t_recv = recv_timer.seconds();
-        tally(rd, slot_receivers(), t_recv);
-      }
+      const double t_recv =
+          sample_receivers(rd, time_offset_ + static_cast<real_t>(cycles_done_ + cyc + 1) * dt_);
       maybe_inject_fault(rd, r, cycles_done_ + cyc);
-      const double s = timer2.seconds();
-      busy_[static_cast<std::size_t>(r)].fetch_add(s, std::memory_order_relaxed);
-      tally(rd, slot_update(), s - t_src - t_recv);
+      charge(r, slot_update(), timer2.seconds(), t_src + t_recv);
     }
     if (pool_) pool_->beat();
     sync(r, 1); // cycle boundary: all updates visible for the next cycle
@@ -1075,23 +1031,23 @@ void ThreadedLtsSolver::maybe_inject_fault(const RankData& rd, rank_t r, std::in
     return;
   }
 
-  // Nan: poke one row this rank owns. All of rd's update/recon rows are final
-  // for the cycle here and only this rank ever writes them, so the corruption
-  // is race-free and deterministic (seeded index over the rank's row lists).
+  // Nan: poke one row this rank updates. All of rd's update/recon rows are
+  // final for the cycle here and only this rank ever writes them, so the
+  // corruption is race-free and deterministic (seeded index over the rank's
+  // row lists, update rows first).
   std::size_t nrows = 0;
-  for (const auto& v : rd.update_rows) nrows += v.size();
-  for (const auto& v : rd.recon_rows) nrows += v.size();
+  for (const auto& runs : rd.update_rows) nrows += core::row_count(runs);
+  for (const auto& runs : rd.recon_rows) nrows += core::row_count(runs);
   if (nrows == 0) return; // the addressed rank owns nothing to corrupt
   std::size_t pick = resilience::fault_pick(fault_.seed, nrows);
   gindex_t g = -1;
-  for (const auto& v : rd.update_rows) {
-    if (g < 0 && pick < v.size()) g = v.rows()[pick];
-    if (g < 0) pick -= v.size();
-  }
-  for (const auto& v : rd.recon_rows) {
-    if (g < 0 && pick < v.size()) g = v.rows()[pick];
-    if (g < 0) pick -= v.size();
-  }
+  for (const auto* lists : {&rd.update_rows, &rd.recon_rows})
+    for (const auto& runs : *lists)
+      for (const auto& run : runs) {
+        const auto n = static_cast<std::size_t>(run.end - run.begin);
+        if (g < 0 && pick < n) g = run.begin + static_cast<gindex_t>(pick);
+        if (g < 0) pick -= n;
+      }
   LTS_CHECK(g >= 0);
   fault_fired_.store(true, std::memory_order_relaxed);
   for (int c = 0; c < ncomp_; ++c)

@@ -19,10 +19,28 @@
 /// independent full-vector transcription it is tested against.
 ///
 /// Each rank owns the elements its partition assigns; stiffness applications
-/// accumulate into rank-private buffers (a rank without peers accumulates
-/// straight into the shared scratch vector), and a reduction phase (the
-/// stand-in for MPI point-to-point exchange) combines interface
-/// contributions. Every global row is updated by exactly one owner rank.
+/// accumulate into a rank-private buffer, and a reduction phase (the stand-in
+/// for MPI point-to-point exchange) sums the contributions of rows several
+/// ranks touch, in ascending rank order, into the owner's buffer.
+///
+/// One ownership rule places all row work. A row's level-k contributions are
+/// summed and folded (scaled by Minv into level k's frozen force) by the
+/// minimum rank touching it at level k; the row is updated — its leapfrog
+/// step at its level rho and its reconstructions at the coarser levels — by
+/// the minimum rank touching it at rho. Every row of eval_rows(k) has rho >=
+/// k, so it lies either in S(k), where fold owner and updater coincide, or
+/// in R(k+1). The fold of S(k) rows is therefore fused into the level-k
+/// update after the child levels: they never write cumulative or read level
+/// k's contributions on an S(k) row, so deferring the fold leaves every
+/// result bitwise unchanged. Only eval_rows(k) ∩ R(k+1), which the children
+/// read, is folded before them, and the deepest level (eval_rows(N) ==
+/// S(N)) folds nothing ahead of its update. On one level this is the plain
+/// leapfrog step v -= dt * (Minv K u); u += dt * v in one pass.
+///
+/// Every row list — the structure's and each rank's share of it — is stored
+/// as sorted runs of consecutive rows (core::RowRuns): zeroing, copying and
+/// the row updates walk contiguous rows, and a per-row array shadowing a list
+/// is indexed by the running row count over its runs.
 ///
 /// Stiffness evaluation runs on the element-block batched path: the solver
 /// builds one sem::BatchPlan whose groups are ordered (rank, level) — rank
@@ -31,18 +49,12 @@
 /// The per-rank block slabs (and workspaces, accumulation buffers and chunk
 /// buffers) are first-touch initialized by their owning pool thread, so on
 /// NUMA machines each rank's hot data lands on its own memory node. The
-/// *shared* global v/scratch vectors get the same treatment: they are
-/// allocated untouched (raw arrays, not value-initialized std::vector) and
-/// each pool worker zeroes the rows it owns (row_owner_), so every page is
-/// resident on the memory node of the rank that updates it. u is the
-/// exception: it is a plain vector, zeroed by the constructing thread,
-/// because Executor::state() hands it out by reference instead of copying.
-///
-/// One level on one rank without stealing (the "newmark" backend) is fused:
-/// the rank's accumulation buffer is scratch_ itself, so the eval phase
-/// zeroes it in one contiguous fill and skips the Minv fold, and the level-1
-/// update applies v -= dt * (Minv K u); u += dt * v in one pass over every
-/// row — the fold's and the update's arithmetic, bitwise unchanged.
+/// *shared* velocity v gets the same treatment: it is allocated untouched (a
+/// raw array, not a value-initialized std::vector) and each pool worker
+/// zeroes the rows it updates, so every page is resident on the memory node
+/// of the rank that updates it. u is the exception: it is a plain vector,
+/// zeroed by the constructing thread, because Executor::state() hands it out
+/// by reference instead of copying.
 ///
 /// Synchronization is governed by a SchedulerMode (see runtime/scheduler.hpp):
 /// the legacy barrier-all mode makes every rank arrive at every substep
@@ -61,10 +73,10 @@
 /// The LTS accumulators are level-compact: a rank keeps level k's substep
 /// velocity only on its S(k) and R(k+1) rows, the displacement saved for the
 /// level-k reconstruction only on its R(k+1) rows, and level k's frozen force
-/// only on the rows it folds in the level-k reduction — each array indexed by
-/// position in the rank's row list (entry j * ncomp + c is component c of the
-/// list's j-th row). The full-ndof vectors left are u, the level-1 velocity v,
-/// scratch, the cumulative frozen force, and the per-rank accumulation buffers.
+/// only on the rows it folds at level k — each array indexed by position in
+/// the rank's row list (entry j * ncomp + c is component c of the list's j-th
+/// row). The full-ndof vectors left are u, the level-1 velocity v, the
+/// cumulative frozen force, and the per-rank accumulation buffers.
 ///
 /// Point sources are injected by the rank owning the source node's row,
 /// sampled frozen at the cycle start. The velocity reconstruction (Eq. 14)
@@ -241,9 +253,10 @@ public:
   void reset_counters();
 
   /// Appends the per-phase accumulators, summed across ranks, onto `report`:
-  /// "eval.L<k>" (per-level block kernel time), "reduce" (ownership
-  /// reduction, the MPI-exchange stand-in), "update" (row updates +
-  /// reconstructions), "barrier" (level-barrier wait == stall_seconds; absent
+  /// "eval.L<k>" (per-level block kernel time), "reduce" (the shared-row
+  /// sums, the MPI-exchange stand-in, plus the fold of eval_rows(k) ∩ R(k+1)
+  /// ahead of the child levels), "update" (row updates with the fused S(k)
+  /// fold + reconstructions), "barrier" (level-barrier wait == stall_seconds; absent
   /// on one rank, which never waits), and "sources"/"receivers" when any are
   /// registered. Call between run_cycles
   /// invocations only (the accumulators are written by the pool workers).
@@ -262,44 +275,15 @@ public:
 private:
   /// A contiguous plan-block range [first_block, last_block) of a rank's
   /// level group — steal chunks always move whole blocks — with the global
-  /// rows it touches and a per-chunk accumulation buffer (rows.size() *
+  /// rows it touches and a per-chunk accumulation buffer (row_count(rows) *
   /// ncomp). Whichever thread executes the chunk writes `acc`; the row owners
   /// reduce the chunks in a fixed order, which makes the stealing mode's
   /// floating-point association independent of who stole what.
   struct Chunk {
     index_t first_block = 0;
     index_t last_block = 0;
-    std::vector<gindex_t> rows;
+    core::RowRuns rows;
     std::vector<real_t> acc;
-  };
-
-  /// A rank's share of one LtsStructure row list, in the structure's order.
-  /// A rank that gets every row of the list (always so on one rank) views
-  /// the structure's vector instead of keeping a copy.
-  class RowList {
-  public:
-    void push_back(gindex_t g) { own_.push_back(g); }
-    /// Seals the list. `whole` is the structure list the rows were drawn
-    /// from in order, so an equal size means an equal list.
-    void finish(const std::vector<gindex_t>& whole) {
-      if (own_.size() == whole.size()) view(whole);
-    }
-    /// Views `whole` itself: the rank's share is all of it.
-    void view(const std::vector<gindex_t>& whole) {
-      own_ = std::vector<gindex_t>(); // releases the capacity, unlike clear()
-      whole_ = &whole;
-    }
-    [[nodiscard]] std::span<const gindex_t> rows() const noexcept {
-      return whole_ ? std::span<const gindex_t>(*whole_) : std::span<const gindex_t>(own_);
-    }
-    [[nodiscard]] auto begin() const noexcept { return rows().begin(); }
-    [[nodiscard]] auto end() const noexcept { return rows().end(); }
-    [[nodiscard]] std::size_t size() const noexcept { return rows().size(); }
-    [[nodiscard]] bool empty() const noexcept { return rows().empty(); }
-
-  private:
-    std::vector<gindex_t> own_;
-    const std::vector<gindex_t>* whole_ = nullptr; ///< LtsStructure's list, when equal
   };
 
   struct RankSource {
@@ -312,21 +296,19 @@ private:
     std::vector<std::vector<index_t>> eval_elems; // [level]
     // Rows this rank's accumulation buffer touches per level (zeroed before
     // apply); a subset of eval_rows.
-    std::vector<RowList> private_rows; // [level]
-    // Reduction work per level: rows this rank owns within rows(E(k)).
-    // solo rows have exactly one touching rank — this one, so the fold reads
-    // the rank's own buffer; shared rows carry a CSR list of touchers.
-    std::vector<RowList> solo_rows;                   // [level]
-    std::vector<std::vector<gindex_t>> shared_rows;   // [level]
+    std::vector<core::RowRuns> private_rows; // [level]
+    // Rows of eval_rows(k) this rank owns (it is their minimum level-k
+    // toucher), split by rho: fold_rows are in R(k+1) and are folded before
+    // the child levels; update_rows are S(k), which this rank also updates.
+    std::vector<core::RowRuns> fold_rows;   // [level]
+    std::vector<core::RowRuns> update_rows; // [level]
+    // R(k+1) rows this rank updates (it is their minimum toucher at rho).
+    std::vector<core::RowRuns> recon_rows; // [level]
+    // Owned rows other ranks touch too, with a CSR list of their touchers in
+    // ascending rank order (outside steal mode).
+    std::vector<core::RowRuns> shared_rows;           // [level]
     std::vector<std::vector<index_t>> shared_offsets; // [level] CSR into touchers
     std::vector<std::vector<rank_t>> shared_touchers; // [level]
-    // All owned rows per level (solo ∪ shared), ascending — the steal-mode
-    // reduction walks these against the static chunk-contribution lists
-    // (built in LevelAwareSteal only).
-    std::vector<std::vector<gindex_t>> owned_rows; // [level]
-    // Row-update sets owned by this rank.
-    std::vector<RowList> update_rows; // S(k) ∩ mine
-    std::vector<RowList> recon_rows;  // R(k+1) ∩ mine
     // Level-compact LTS accumulators (see the file comment), each indexed by
     // position in the row list it shadows: entry j * ncomp + c is component
     // c of that list's j-th row. Every cycle writes the vt arrays and saved_u
@@ -334,9 +316,9 @@ private:
     std::vector<std::vector<real_t>> vt_update; // [k-2] over update_rows[k-1], k >= 2
     std::vector<std::vector<real_t>> vt_recon;  // [k-2] over recon_rows[k-1], 2 <= k < N
     std::vector<std::vector<real_t>> saved_u;   // [k-1] over recon_rows[k-1], k < N
-    std::vector<std::vector<real_t>> forces;    // [k-1] over the fold rows, k < N
-    // ndof accumulation buffer; left empty on a rank without peers outside
-    // steal mode, which accumulates into scratch_ directly (acc_buffer).
+    std::vector<std::vector<real_t>> forces;    // [k-1] over fold_rows[k-1] then update_rows[k-1], k < N
+    // ndof accumulation buffer. After the reduction it holds the summed
+    // level-k contribution of every row the rank owns at level k.
     std::vector<real_t> private_buf;
     std::unique_ptr<sem::KernelWorkspace> workspace;
     // Point sources injected by this rank, bucketed by the source node's
@@ -348,10 +330,12 @@ private:
     // Work-stealing state (LevelAwareSteal only).
     std::vector<std::vector<Chunk>> chunks;               // [level]
     std::unique_ptr<std::atomic<index_t>[]> chunk_cursor; // [level]
-    // Static reduction map: for owned_rows[L][j], the chunk-contribution
-    // pointers are red_sources[L][red_offsets[L][j] .. red_offsets[L][j+1]],
-    // each pointing at a chunk's acc entry for this row (ncomp stride).
-    // Ordered by (rank, chunk) ascending — the fixed association order.
+    // Static reduction map over every owned row (fold ∪ update rows): for
+    // owned_rows[L]'s j-th row, the chunk-contribution pointers are
+    // red_sources[L][red_offsets[L][j] .. red_offsets[L][j+1]], each pointing
+    // at a chunk's acc entry for this row (ncomp stride). Ordered by (rank,
+    // chunk) ascending — the fixed association order.
+    std::vector<core::RowRuns> owned_rows;              // [level]
     std::vector<std::vector<index_t>> red_offsets;      // [level]
     std::vector<std::vector<const real_t*>> red_sources; // [level]
     // Per-phase perf accumulators (run_report): slots 0..nl-1 are the
@@ -371,16 +355,12 @@ private:
   void first_touch_rank_buffers();
   void allocate_accumulators();
   void zero_forces();
-  /// Visits the rows rank rd folds in the level-(L+1) reduction, in fold
-  /// order — solo then shared rows, or the owned rows in steal mode — as
-  /// f(j, g): position j in its compact force array, global row g.
+  /// Visits the rows rank rd folds at level L+1 — fold rows, then update
+  /// rows — as f(j, g): position j in its compact force array, global row g.
   template <class F>
-  void for_each_fold_row(const RankData& rd, std::size_t L, F&& f) const;
-  /// Where rank r's eval phase accumulates K P_k u: its private buffer, or
-  /// the shared scratch vector when it has no peers to reduce with.
-  [[nodiscard]] real_t* acc_buffer(RankData& rd) noexcept {
-    return rd.private_buf.empty() ? scratch_.get() : rd.private_buf.data();
-  }
+  static void for_each_fold_row(const RankData& rd, std::size_t L, F&& f);
+  /// The rank updating row g: the minimum rank touching it at its level rho.
+  [[nodiscard]] rank_t updater(gindex_t g) const;
   [[nodiscard]] std::size_t group_index(rank_t r, level_t k) const noexcept {
     return static_cast<std::size_t>(r) * static_cast<std::size_t>(levels_->num_levels) +
            static_cast<std::size_t>(k - 1);
@@ -405,6 +385,12 @@ private:
     rd.phase_seconds[slot].fetch_add(seconds, std::memory_order_relaxed);
     rd.phase_count[slot].fetch_add(1, std::memory_order_relaxed);
   }
+  /// Bills `seconds` of rank r's compute to busy_, and to phase `slot` all
+  /// of it but `tallied`, which the sources/receivers phases already took.
+  void charge(rank_t r, std::size_t slot, double seconds, double tallied = 0) noexcept {
+    busy_[static_cast<std::size_t>(r)].fetch_add(seconds, std::memory_order_relaxed);
+    tally(ranks_[static_cast<std::size_t>(r)], slot, seconds - tallied);
+  }
   void thread_main(rank_t r, std::int64_t cycles);
   /// Fires the armed nan/stall fault when (cycle, r) matches the plan; called
   /// from the addressed rank's cycle-final update phase, where every row the
@@ -419,10 +405,13 @@ private:
   /// at each source's slot and u are post-corrected by the linear terms a
   /// source adds to the force F, using the substep's own kick/drift
   /// coefficients (the physical level-1 step passes (dt, dt) — the leapfrog
-  /// form v -= dt * F).
-  void apply_rank_sources(const RankData& rd, level_t k, real_t t_src, real_t kick, real_t drift,
-                          real_t* vel);
-  void sample_receivers(const RankData& rd, real_t t);
+  /// form v -= dt * F). Returns the seconds it tallied to "sources" (0, and
+  /// no tally, when the rank has no level-k source).
+  double apply_rank_sources(RankData& rd, level_t k, real_t t_src, real_t kick, real_t drift,
+                            real_t* vel);
+  /// Samples this rank's receivers; returns the seconds tallied to
+  /// "receivers" (0, and no tally, when it has none).
+  double sample_receivers(RankData& rd, real_t t);
 
   const sem::WaveOperator* op_;
   const core::LevelAssignment* levels_;
@@ -439,26 +428,23 @@ private:
   std::atomic<bool> fault_fired_{false};
   std::size_t ndof_ = 0;
   std::int64_t blocks_per_cycle_ = 0;
-  /// One level on one rank without stealing: the fused update (file comment).
-  bool fused_;
 
   /// Batched execution plan, groups ordered (rank, level); slabs are filled
   /// (first-touched) by the owning pool workers, not the constructing thread.
   std::unique_ptr<sem::BatchPlan> plan_;
 
   std::span<const real_t> inv_mass_; // the space's, per node (components share it)
-  // Shared global state (ndof_ each). v and scratch are raw arrays allocated
-  // untouched, so the pool workers' per-owned-row zeroing is the first touch
+  // Shared global state (ndof_ each). v is a raw array allocated untouched,
+  // so the pool workers' zeroing of the rows they update is the first touch
   // of every page.
   std::vector<real_t> u_;
-  std::unique_ptr<real_t[]> v_, scratch_;
+  std::unique_ptr<real_t[]> v_;
   std::vector<real_t> cumulative_; // sum of the frozen forces (ndof_, or empty on one level)
 
   std::vector<sem::PointSource> sources_; // master list (adopt/redistribute)
   std::vector<Trace> traces_;
 
   std::vector<RankData> ranks_;
-  std::vector<rank_t> row_owner_; // per global node: min rank touching it
   // part_mask_[(k-1)*nranks + r]: rank r takes part in level-k barriers.
   std::vector<std::uint8_t> part_mask_;
   // group_[k-1]: ascending rank ids of level-k participants (steal/reduction

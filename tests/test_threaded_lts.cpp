@@ -449,8 +449,11 @@ TEST(Threaded, FrozenForceExportIsFullSizeZeroOffEvalRowsAndRoundTrips) {
         const auto& f = forces[static_cast<std::size_t>(k - 1)];
         ASSERT_EQ(f.size(), s.ndof) << what;
         std::vector<bool> on_eval_row(s.ndof, false);
-        for (const gindex_t g : s.structure.eval_rows[static_cast<std::size_t>(k - 1)])
-          for (std::size_t c = 0; c < nc; ++c) on_eval_row[static_cast<std::size_t>(g) * nc + c] = true;
+        core::for_each_row(s.structure.eval_rows[static_cast<std::size_t>(k - 1)],
+                           [&](std::size_t, gindex_t g) {
+                             for (std::size_t c = 0; c < nc; ++c)
+                               on_eval_row[static_cast<std::size_t>(g) * nc + c] = true;
+                           });
         std::size_t nonzero = 0;
         for (std::size_t i = 0; i < s.ndof; ++i) {
           if (!on_eval_row[i]) {
@@ -471,6 +474,62 @@ TEST(Threaded, FrozenForceExportIsFullSizeZeroOffEvalRowsAndRoundTrips) {
       EXPECT_EQ(fresh.frozen_forces(), forces) << what;
       EXPECT_EQ(fresh.cumulative(), cumulative) << what;
     }
+}
+
+TEST(Threaded, EmptyAndOneElementRanksMatchReferenceAndReplayBitwise) {
+  // Rank 0 owns no element and rank 1 a single finest-level one, whose rows
+  // it shares with its neighbours at several levels. Every row still gets
+  // exactly one updater (the minimum rank touching it at its level rho), so
+  // every mode matches the reference, reruns bitwise, and a restore from a
+  // mid-run state — u, v_half, the frozen forces and their sum — replays
+  // the rest of the run bitwise, a source and a receiver included.
+  Rig s(graded_strip());
+  ASSERT_EQ(s.levels.num_levels, 3);
+  const auto ne = static_cast<std::size_t>(s.mesh.num_elems());
+  partition::Partition part{4, std::vector<rank_t>(ne, 2)};
+  std::size_t lone = 0; // the first finest-level element
+  while (s.levels.elem_level[lone] != s.levels.num_levels) ++lone;
+  for (std::size_t e = ne / 2; e < ne; ++e) part.part[e] = 3;
+  part.part[lone] = 1;
+  const auto src = fine_source(s);
+  const auto u0 = s.initial();
+  const std::vector<real_t> v0(s.ndof, 0.0);
+
+  for (const SchedulerMode mode : kAllSchedulerModes) {
+    expect_matches_reference(s, part, mode, 5);
+    const auto make = [&] {
+      auto solver =
+          std::make_unique<ThreadedLtsSolver>(*s.op, s.levels, s.structure, part, cfg_for(mode));
+      solver->add_source(src);
+      solver->add_receiver(src.node, 0);
+      return solver;
+    };
+    auto a = make();
+    a->set_state(u0, v0);
+    a->run_cycles(3);
+    const auto u_mid = vec(a->u());
+    const auto v_mid = vec(a->v_half());
+    const auto forces_mid = a->frozen_forces();
+    const std::vector<real_t> cumulative_mid = a->cumulative();
+    a->run_cycles(3);
+
+    auto b = make();
+    b->set_state(u0, v0);
+    b->run_cycles(6);
+    EXPECT_EQ(vec(a->u()), vec(b->u())) << to_string(mode) << ": rerun";
+    EXPECT_EQ(vec(a->v_half()), vec(b->v_half())) << to_string(mode) << ": rerun";
+    EXPECT_EQ(a->traces()[0].values, b->traces()[0].values) << to_string(mode) << ": rerun";
+
+    auto resumed = make();
+    resumed->adopt_raw_state(u_mid, v_mid, 3 * s.levels.dt, 3);
+    resumed->import_accumulators(forces_mid, cumulative_mid);
+    resumed->run_cycles(3);
+    EXPECT_EQ(vec(a->u()), vec(resumed->u())) << to_string(mode) << ": replay";
+    EXPECT_EQ(vec(a->v_half()), vec(resumed->v_half())) << to_string(mode) << ": replay";
+    EXPECT_EQ(std::vector<real_t>(a->traces()[0].values.end() - 3, a->traces()[0].values.end()),
+              resumed->traces()[0].values)
+        << to_string(mode) << ": replay";
+  }
 }
 
 TEST(Threaded, StealChunksAlignToBlocksAndStayBitwiseDeterministic) {

@@ -36,10 +36,11 @@ compiler nor clang-tidy can check:
 
   6. one resident metric copy — WaveOperator::full_plan() builds and pins
      a full-mesh BatchPlan (every element's gather indices and geometry
-     rows) for the operator's lifetime. Only the global-step Newmark path,
-     which runs on that plan, and the kernel calibration may call it in
-     src/; an LTS solver calling it would keep a second full-mesh plan copy
-     beside its own level plan.
+     rows) for the operator's lifetime. In src/ only the kernel calibration
+     (src/perf/calibrate.cpp) may call it. The global-step Newmark path is
+     the LTS engine on one level and runs on the engine's own plan; any
+     solver calling full_plan() would keep a second full-mesh plan copy
+     beside its own.
 
 Usage:
   tools/lint_ltswave.py [--root DIR]   lint the repo (exit 1 on violations)
