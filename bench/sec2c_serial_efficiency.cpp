@@ -9,19 +9,16 @@
 // backend) across mesh sizes and report measured speedup, model speedup,
 // their ratio, and the cost of one LTS element apply over one Newmark apply.
 //
-// Each scheme's time is the best of `runs` runs over the same simulated span
-// of `cycles` LTS cycles, which keeps the efficiency column steady on a
-// shared machine. Knobs (all optional):
-//   --out=<path>   the best runs' structured reports (default BENCH_sec2c.json)
-//   runs=<n>       timed runs per scheme and mesh        (default 5)
-//   cycles=<n>     LTS cycles per timed run              (default 10)
+// Each scheme's time is the best of kRuns runs over the same simulated span
+// of kCycles LTS cycles, which keeps the efficiency column steady on a shared
+// machine. The one option, `--out=<path>`, names the file for the best runs'
+// structured reports (default BENCH_sec2c.json).
 
 #include <cmath>
 #include <iostream>
 #include <string>
 #include <string_view>
 
-#include "common/kv.hpp"
 #include "common/table.hpp"
 #include "mesh/generators.hpp"
 #include "paper_meshes.hpp"
@@ -32,6 +29,9 @@ using namespace ltswave;
 
 namespace {
 
+constexpr int kRuns = 5;             // timed runs per scheme and mesh
+constexpr std::int64_t kCycles = 10; // LTS cycles per timed run
+
 struct Row {
   index_t n;
   index_t elems;
@@ -41,14 +41,14 @@ struct Row {
   double apply_ratio; // seconds per LTS element apply / per Newmark element apply
 };
 
-/// The best of `runs` timed runs of `cycles` cycles each from the same start
+/// The best of kRuns timed runs of `cycles` cycles each from the same start
 /// state, after one warm-up cycle; returns that run's report.
 perf::RunReport best_run(runtime::ThreadedLtsSolver& solver, std::span<const real_t> u0,
-                         std::span<const real_t> v0, std::int64_t cycles, int runs) {
+                         std::span<const real_t> v0, std::int64_t cycles) {
   solver.set_state(u0, v0);
   solver.run_cycles(1);
   perf::RunReport best;
-  for (int i = 0; i < runs; ++i) {
+  for (int i = 0; i < kRuns; ++i) {
     solver.set_state(u0, v0);
     solver.reset_counters();
     const double wall = solver.run_cycles(cycles);
@@ -64,7 +64,7 @@ double seconds_per_apply(const perf::RunReport& r) {
   return r.wall_seconds / static_cast<double>(r.element_applies);
 }
 
-Row run_case(index_t n, std::int64_t cycles, int runs, std::vector<perf::RunReport>& reports) {
+Row run_case(index_t n, std::vector<perf::RunReport>& reports) {
   const auto m = mesh::make_trench_mesh({.n = n,
                                          .nz = static_cast<index_t>(2 * n / 3),
                                          .squeeze = 8.0,
@@ -88,9 +88,9 @@ Row run_case(index_t n, std::int64_t cycles, int runs, std::vector<perf::RunRepo
   }
   const std::vector<real_t> v0(ndof, 0.0);
 
-  // Both schemes simulate the same span: `cycles` LTS cycles, or the Newmark
+  // Both schemes simulate the same span: kCycles LTS cycles, or the Newmark
   // steps covering it.
-  const real_t span = lts_levels.dt * static_cast<real_t>(cycles);
+  const real_t span = lts_levels.dt * static_cast<real_t>(kCycles);
   const auto steps = static_cast<std::int64_t>(std::ceil(span / uni_levels.dt - 1e-9));
 
   // The production LTS engine on one rank (the serial-lts backend), inline,
@@ -99,8 +99,8 @@ Row run_case(index_t n, std::int64_t cycles, int runs, std::vector<perf::RunRepo
       1, std::vector<rank_t>(static_cast<std::size_t>(m.num_elems()), 0)};
   runtime::ThreadedLtsSolver lts(op, lts_levels, st, one_rank);
   runtime::ThreadedLtsSolver newmark(op, uni_levels, uni_st, one_rank);
-  auto lts_report = best_run(lts, u0, v0, cycles, runs);
-  auto nm_report = best_run(newmark, u0, v0, steps, runs);
+  auto lts_report = best_run(lts, u0, v0, kCycles);
+  auto nm_report = best_run(newmark, u0, v0, steps);
 
   Row r;
   r.n = n;
@@ -113,8 +113,8 @@ Row run_case(index_t n, std::int64_t cycles, int runs, std::vector<perf::RunRepo
   r.measured_speedup = nm_report.wall_seconds / lts_report.wall_seconds;
   r.apply_ratio = seconds_per_apply(lts_report) / seconds_per_apply(nm_report);
 
-  const std::string config = "n=" + std::to_string(n) + " runs=" + std::to_string(runs) +
-                              " cycles=" + std::to_string(cycles);
+  const std::string config = "n=" + std::to_string(n) + " runs=" + std::to_string(kRuns) +
+                             " cycles=" + std::to_string(kCycles);
   lts_report.executor = "serial-lts";
   nm_report.executor = "newmark";
   for (auto* rep : {&lts_report, &nm_report}) {
@@ -129,29 +129,13 @@ Row run_case(index_t n, std::int64_t cycles, int runs, std::vector<perf::RunRepo
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_sec2c.json";
-  std::int64_t cycles = 10;
-  int runs = 5;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-      continue;
-    }
-    const std::size_t eq = arg.find('=');
-    const std::string_view key = eq == std::string_view::npos ? arg : arg.substr(0, eq);
-    const std::string_view value = eq == std::string_view::npos ? "" : arg.substr(eq + 1);
-    if (key == "cycles" && eq != std::string_view::npos) {
-      cycles = kv::parse_int(key, value);
-    } else if (key == "runs" && eq != std::string_view::npos) {
-      runs = static_cast<int>(kv::parse_int(key, value));
-    } else {
-      std::cerr << "unknown argument '" << arg << "'; accepted: --out=<path> | cycles | runs\n";
+    if (arg.rfind("--out=", 0) != 0) {
+      std::cerr << "unknown argument '" << arg << "'; accepted: --out=<path>\n";
       return 1;
     }
-  }
-  if (cycles < 1 || runs < 1) {
-    std::cerr << "cycles and runs must be >= 1\n";
-    return 1;
+    out_path = arg.substr(6);
   }
 
   print_section(std::cout,
@@ -160,13 +144,13 @@ int main(int argc, char** argv) {
                "Efficiency is halo-limited and grows with mesh size; the halo share column\n"
                "is the model/actual element-applies ratio, and the last column the cost of\n"
                "one LTS element apply over one Newmark apply. Best of "
-            << runs << " runs of " << cycles << " LTS cycles per scheme.\n\n";
+            << kRuns << " runs of " << kCycles << " LTS cycles per scheme.\n\n";
 
   std::vector<perf::RunReport> reports;
   TextTable t({"n", "# elements", "model speedup", "model/actual work", "measured speedup",
                "LTS efficiency", "LTS/Newmark apply"});
   for (index_t n : {12, 16, 24, 32}) {
-    const Row r = run_case(n, cycles, runs, reports);
+    const Row r = run_case(n, reports);
     t.row()
         .cell(static_cast<std::int64_t>(r.n))
         .cell(static_cast<std::int64_t>(r.elems))

@@ -548,9 +548,12 @@ void ThreadedLtsSolver::add_source(const sem::PointSource& src) {
   // Level 1 kicks v_ at the node; a finer level kicks its compact vt, whose
   // rows are the updater's S(rho) — the source node is one by construction.
   std::size_t slot = static_cast<std::size_t>(src.node);
-  if (rho > 1)
-    slot = static_cast<std::size_t>(
-        core::row_position(rd.update_rows[static_cast<std::size_t>(rho - 1)], src.node));
+  if (rho > 1) {
+    const std::ptrdiff_t pos =
+        core::row_position(rd.update_rows[static_cast<std::size_t>(rho - 1)], src.node);
+    LTS_CHECK(pos >= 0);
+    slot = static_cast<std::size_t>(pos);
+  }
   rd.sources[static_cast<std::size_t>(rho - 1)].push_back({src, slot});
 }
 
